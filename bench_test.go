@@ -266,6 +266,30 @@ func BenchmarkEnumerateRenoSpace(b *testing.B) {
 	}
 }
 
+// BenchmarkEnumerateCubicBuckets enumerates every cubic-DSL bucket as far
+// as a synthesis run with default bounds can: scan budget
+// core.DefaultScanBudget, at most core.DefaultBucketCap sketches. It
+// reports the scan-budget charge per op as candidates/op.
+func BenchmarkEnumerateCubicBuckets(b *testing.B) {
+	d := dsl.Cubic()
+	reg := obs.New()
+	e := enum.New(d)
+	e.Obs = reg
+	keys := e.Buckets()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, ops := range keys {
+			n := 0
+			for range e.BucketLimited(ops, core.DefaultScanBudget) {
+				if n++; n >= core.DefaultBucketCap {
+					break
+				}
+			}
+		}
+	}
+	b.ReportMetric(float64(reg.Counter("enum.candidates").Value())/float64(b.N), "candidates/op")
+}
+
 // BenchmarkAblationDesignChoices runs the DESIGN.md ablation matrix on
 // Reno traces: search metric, bucket pruning, segment selection and
 // constant-pool variants under an equal budget.

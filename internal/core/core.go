@@ -76,10 +76,10 @@ type Options struct {
 	// BucketCap bounds how many sketches may be drawn from one bucket
 	// (guards exhaustive passes over enormous buckets). Default 20000.
 	BucketCap int
-	// ScanBudget bounds how many candidate roots one bucket's enumerator
-	// may construct over its lifetime while looking for members — the
-	// in-process analogue of the paper's wall-clock timeout (~25k
-	// candidates/second/core). Default 100000.
+	// ScanBudget is the scan limit of each bucket's enumerator over its
+	// lifetime, in candidates as enum.Enumerator.BucketLimited defines
+	// them — the in-process analogue of the paper's wall-clock timeout.
+	// Default 100000.
 	ScanBudget int
 	// Workers sets scoring parallelism. Default GOMAXPROCS.
 	Workers int

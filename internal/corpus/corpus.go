@@ -40,8 +40,9 @@ type Options struct {
 	// BucketCap bounds sketches materialized per bucket. Default
 	// core.DefaultBucketCap.
 	BucketCap int
-	// ScanBudget bounds candidate constructions per bucket enumerator
-	// over the corpus's lifetime. Default core.DefaultScanBudget.
+	// ScanBudget is the scan limit of each bucket's enumerator over the
+	// corpus's lifetime, in candidates as enum.Enumerator.BucketLimited
+	// defines them. Default core.DefaultScanBudget.
 	ScanBudget int
 	// Obs receives the corpus counters (including enum.* for the
 	// enumeration work the corpus absorbs on behalf of its runs).

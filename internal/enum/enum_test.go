@@ -227,13 +227,3 @@ func TestMaxNodesBudgetRespected(t *testing.T) {
 		}
 	}
 }
-
-func BenchmarkEnumerateReno(b *testing.B) {
-	e := New(dsl.Reno())
-	for i := 0; i < b.N; i++ {
-		n := 0
-		for range e.All() {
-			n++
-		}
-	}
-}
