@@ -1,8 +1,9 @@
-// Corpus-scale benchmarks: the zero-allocation pcap ingestion path and the
-// batch synthesis engine versus a sequential loop of standalone runs. Both
-// feed the bench-compare baseline; TestBatchMatchesSequential (in
-// internal/corpus) pins that the two batch variants return identical
-// per-trace results, so the speedup here is pure scheduling and sharing.
+// Corpus-scale benchmarks: the zero-allocation pcap ingestion path, the
+// batch synthesis engine versus a sequential loop of standalone runs, and
+// a warm restart's snapshot restore. All feed the bench-compare baseline;
+// TestBatchMatchesSequential (in internal/corpus) pins that the two batch
+// variants return identical per-trace results, so the speedup there is
+// pure scheduling and sharing.
 package repro
 
 import (
@@ -16,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dsl"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -181,4 +183,37 @@ func BenchmarkBatchSequential(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(jobs)), "traces/op")
+}
+
+// BenchmarkSnapshotRestore measures a warm restart's corpus restore: per
+// op, LoadSnapshot of a reno corpus prewarmed at the default bounds, then
+// the first 8 sketches of every bucket, as a job's first refinement round
+// would take them. Restore decodes lazily, so sketches_decoded/op is the
+// parsing a restart actually pays for.
+func BenchmarkSnapshotRestore(b *testing.B) {
+	opts := corpus.Options{DSL: dsl.Reno()}
+	c, err := corpus.New(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	c.Prewarm(context.Background(), runtime.GOMAXPROCS(0))
+	var snap bytes.Buffer
+	if err := c.WriteSnapshot(&snap); err != nil {
+		b.Fatal(err)
+	}
+	c.Close()
+	reg := obs.New()
+	opts.Obs = reg
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		warm, err := corpus.LoadSnapshot(bytes.NewReader(snap.Bytes()), opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, ops := range warm.Buckets() {
+			warm.Take(ops, 8, 0, 0)
+		}
+		warm.Close()
+	}
+	b.ReportMetric(float64(reg.Counter("corpus.snapshot_sketches_decoded").Value())/float64(b.N), "sketches_decoded/op")
 }

@@ -10,20 +10,27 @@
 // Observability (on the registry the corpus was built with):
 //
 //	counters  corpus.sketches_shared, corpus.sketches_enumerated,
-//	          corpus.program_cache_hits, corpus.program_cache_misses
+//	          corpus.program_cache_hits, corpus.program_cache_misses,
+//	          corpus.snapshot_sketches_loaded, corpus.snapshot_sketches_decoded
 //	gauges    corpus.buckets
 //
 // sketches_shared counts sketches served from the already-materialized
-// cache — enumeration work some earlier Take (this trace's or another's)
-// already paid for — while sketches_enumerated counts fresh pulls.
+// cache or a restored snapshot — enumeration work some earlier Take (this
+// trace's, another's, or a previous process's) already paid for — while
+// sketches_enumerated counts fresh pulls. snapshot_sketches_decoded counts
+// restored sketches parsed back into trees, which happens lazily, on the
+// first Take that reaches them.
 package corpus
 
 import (
 	"context"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"iter"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/dsl"
@@ -84,8 +91,15 @@ type SketchCorpus struct {
 
 	progs [progShards]progShard
 
+	// gen counts the Takes that changed what a snapshot would record (new
+	// sketches or a newly exhausted bucket); savedGen is the gen the last
+	// successful save captured. Both start at 0, so a new or just-loaded
+	// corpus is clean; it is dirty while they differ.
+	gen, savedGen atomic.Uint64
+
 	cShared     *obs.Counter
 	cEnumerated *obs.Counter
+	cDecoded    *obs.Counter
 	cProgHits   *obs.Counter
 	cProgMisses *obs.Counter
 }
@@ -100,13 +114,18 @@ type corpusBucket struct {
 	next      func() (*dsl.Node, bool)
 	stop      func()
 	exhausted bool
-	// loaded counts cache entries restored from a snapshot. A fresh
-	// enumerator (started only if a Take outgrows the restored prefix)
-	// must discard that many yields before appending: enumeration order
-	// is deterministic, so the discard replays exactly the constructions
-	// that produced the restored prefix, leaving the enumerator — scan
-	// budget included — in the same state as an unbroken run.
+	// loaded counts the sketches restored from a snapshot, decoded or not.
+	// A fresh enumerator (started only if a Take outgrows the restored
+	// prefix) must discard that many yields before appending: enumeration
+	// order is deterministic, so the discard replays exactly the
+	// constructions that produced the restored prefix, leaving the
+	// enumerator — scan budget included — in the same state as an unbroken
+	// run.
 	loaded int
+	// restored is the snapshot's newline-joined canonical keys of those
+	// sketches, kept verbatim so a save of an unextended bucket writes it
+	// back byte for byte; rest is its tail not yet decoded into cache.
+	restored, rest string
 }
 
 // progShard is one lock stripe of the compiled-program cache.
@@ -138,6 +157,7 @@ func New(opts Options) (*SketchCorpus, error) {
 		keys:        e.Buckets(),
 		cShared:     opts.Obs.Counter("corpus.sketches_shared"),
 		cEnumerated: opts.Obs.Counter("corpus.sketches_enumerated"),
+		cDecoded:    opts.Obs.Counter("corpus.snapshot_sketches_decoded"),
 		cProgHits:   opts.Obs.Counter("corpus.program_cache_hits"),
 		cProgMisses: opts.Obs.Counter("corpus.program_cache_misses"),
 	}
@@ -173,7 +193,9 @@ func (c *SketchCorpus) Take(ops dsl.OpSet, n, capN, _ int) ([]*dsl.Node, bool) {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	cached := len(b.cache)
+	cached := max(len(b.cache), b.loaded)
+	c.cDecoded.Add(int64(b.decode(n)))
+	grown, wasExhausted := len(b.cache), b.exhausted
 	if b.next == nil && !b.exhausted && len(b.cache) < n {
 		e := enum.New(c.d)
 		e.Obs = c.obsv
@@ -202,6 +224,9 @@ func (c *SketchCorpus) Take(ops dsl.OpSet, n, capN, _ int) ([]*dsl.Node, bool) {
 			b.stop()
 		}
 	}
+	if len(b.cache) > grown || b.exhausted != wasExhausted {
+		c.gen.Add(1)
+	}
 	if n > len(b.cache) {
 		n = len(b.cache)
 	}
@@ -215,8 +240,34 @@ func (c *SketchCorpus) Take(ops dsl.OpSet, n, capN, _ int) ([]*dsl.Node, bool) {
 	// (or Prewarm) may have extended the cache far past this caller's n,
 	// and reporting the bucket exhausted on a short prefix would end the
 	// caller's refinement early — batch results must match standalone runs.
-	exhausted := n >= capN || (b.exhausted && n >= len(b.cache))
+	// A restored bucket's total counts its undecoded tail too.
+	exhausted := n >= capN || (b.exhausted && n >= max(len(b.cache), b.loaded))
 	return b.cache[:n], exhausted
+}
+
+// decode parses restored keys into the cache until it holds n sketches or
+// the restored prefix runs out, and returns how many it parsed. ParseKey
+// memoizes every subtree's key, so a decoded sketch is ready to publish,
+// exactly like an enumerated one. The caller holds b.mu.
+func (b *corpusBucket) decode(n int) int {
+	decoded := 0
+	for len(b.cache) < n && b.rest != "" {
+		line := b.rest
+		if i := strings.IndexByte(line, '\n'); i >= 0 {
+			line, b.rest = line[:i], line[i+1:]
+		} else {
+			b.rest = ""
+		}
+		sk, err := dsl.ParseKey(line)
+		if err != nil {
+			// LoadSnapshot verified the blob's checksum and key count, so
+			// only a writer bug can get here.
+			panic(fmt.Sprintf("corpus: bucket %s: restored sketch %d: %v", b.ops, len(b.cache), err))
+		}
+		b.cache = append(b.cache, sk)
+		decoded++
+	}
+	return decoded
 }
 
 // Release implements core.SketchSource. It is a no-op: a bucket one trace
@@ -241,8 +292,10 @@ func (c *SketchCorpus) Close() {
 
 // Prewarm materializes every bucket up to the corpus's cap, fanning the
 // buckets out over at most workers goroutines. It makes a subsequent batch
-// pure cache reads — useful when the batch is large enough that lazy
+// free of enumeration — useful when the batch is large enough that lazy
 // first-toucher enumeration would serialize jobs on the bucket locks.
+// Exhausted buckets are skipped, so Prewarm of a corpus restored from a
+// complete snapshot leaves every restored sketch undecoded.
 func (c *SketchCorpus) Prewarm(ctx context.Context, workers int) {
 	if workers < 1 {
 		workers = 1
@@ -252,6 +305,9 @@ func (c *SketchCorpus) Prewarm(ctx context.Context, workers int) {
 	for _, ops := range c.keys {
 		if ctx.Err() != nil {
 			break
+		}
+		if c.buckets[ops].done() {
+			continue
 		}
 		sem <- struct{}{}
 		wg.Add(1)
@@ -263,6 +319,17 @@ func (c *SketchCorpus) Prewarm(ctx context.Context, workers int) {
 	}
 	wg.Wait()
 }
+
+// done reports whether the bucket is exhausted.
+func (b *corpusBucket) done() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.exhausted
+}
+
+// dirty reports whether the corpus holds state — new sketches or newly
+// exhausted buckets — that its last load or save did not.
+func (c *SketchCorpus) dirty() bool { return c.gen.Load() != c.savedGen.Load() }
 
 // Program implements replay.ProgramSource: the compiled register program
 // for the expression's canonical form, compiling and caching on first use.

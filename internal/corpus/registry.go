@@ -14,7 +14,9 @@ import (
 // Options.ConfigHash — the daemon's corpus pool. Get serves repeat
 // configurations from memory, restores evicted ones from the snapshot
 // directory when one is configured, and builds cold ones last. Save
-// persists every live corpus so the next process starts warm.
+// persists every live corpus that changed since its load or last save, so
+// the next process starts warm and an unchanged snapshot is never
+// rewritten.
 //
 // Observability (on the registry's obs.Registry):
 //
@@ -83,21 +85,33 @@ func (r *Registry) Get(opts Options) (*SketchCorpus, error) {
 }
 
 // Prewarm materializes a config's full sketch space (Get + Prewarm) so
-// later jobs are pure cache reads, and persists it immediately when a
-// snapshot directory is configured.
+// later jobs do no enumeration, and persists it immediately when a
+// snapshot directory is configured and the prewarm changed it.
 func (r *Registry) Prewarm(ctx context.Context, opts Options, workers int) (*SketchCorpus, error) {
 	c, err := r.Get(opts)
 	if err != nil {
 		return nil, err
 	}
 	c.Prewarm(ctx, workers)
-	if r.dir != "" && ctx.Err() == nil {
-		if err := c.SaveSnapshot(r.snapshotPathFor(c)); err != nil {
+	if ctx.Err() == nil {
+		if err := r.save(c); err != nil {
 			return nil, err
 		}
-		r.obsv.Counter("corpus.snapshot_saves").Inc()
 	}
 	return c, nil
+}
+
+// save persists one corpus if a snapshot directory is configured and the
+// corpus is dirty.
+func (r *Registry) save(c *SketchCorpus) error {
+	if r.dir == "" || !c.dirty() {
+		return nil
+	}
+	if err := c.SaveSnapshot(r.snapshotPathFor(c)); err != nil {
+		return err
+	}
+	r.obsv.Counter("corpus.snapshot_saves").Inc()
+	return nil
 }
 
 // snapshotPathFor names a live corpus's snapshot file.
@@ -105,7 +119,7 @@ func (r *Registry) snapshotPathFor(c *SketchCorpus) string {
 	return filepath.Join(r.dir, fmt.Sprintf("%s-%s.snapshot", c.d.Name, c.cfgHash))
 }
 
-// Save persists every live corpus to the snapshot directory (no-op
+// Save persists every dirty live corpus to the snapshot directory (no-op
 // without one). Safe during jobs: WriteSnapshot copies under the bucket
 // locks.
 func (r *Registry) Save() error {
@@ -115,16 +129,11 @@ func (r *Registry) Save() error {
 		corpora = append(corpora, c)
 	}
 	r.mu.Unlock()
-	if r.dir == "" {
-		return nil
-	}
 	var first error
 	for _, c := range corpora {
-		if err := c.SaveSnapshot(r.snapshotPathFor(c)); err != nil && first == nil {
+		if err := r.save(c); err != nil && first == nil {
 			first = err
-			continue
 		}
-		r.obsv.Counter("corpus.snapshot_saves").Inc()
 	}
 	return first
 }

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -22,23 +23,29 @@ import (
 //
 // Format: a gob stream of snapshotFile — a version tag, the DSL-config
 // hash the corpus was built under, and per bucket the materialized sketch
-// prefix plus its exhaustion flag. Sketch trees gob-encode directly
-// (dsl.Node has only exported fields; the unexported canonical-key memo is
-// recomputed at load). Compiled register programs are NOT serialized:
-// dsl.CompileProgram is deterministic and microseconds per sketch, so the
-// loader recompiles the persisted sketches into the program cache, which
-// is both smaller on disk and immune to VM-encoding drift across builds.
+// prefix as newline-joined canonical keys (dsl.Node.Key), its key count,
+// an FNV-64a checksum of the keys, and its exhaustion flag. Loading checks
+// all of that and stops there: the keys stay one undecoded string per
+// bucket, and a Take parses (dsl.ParseKey) only the prefix it returns, on
+// first use. Compiled register programs are not serialized either: the
+// corpus compiles them on first use (Program), as it does for a cold
+// corpus, which also keeps the file immune to VM-encoding drift across
+// builds. A restored bucket that was never extended is written back
+// verbatim, byte for byte.
 //
 // Versioning rules: SnapshotVersion bumps whenever the gob shape, the
-// enumeration order, canonicalization, or anything else that decides which
-// sketches exist (or their order) changes; a snapshot with a different
-// version or a different config hash is rejected at load and the caller
-// falls back to enumeration. Snapshots are written atomically
-// (temp + rename), so a crashed writer never leaves a torn file behind.
+// key spelling, the enumeration order, canonicalization, or anything else
+// that decides which sketches exist (or their order) changes; a snapshot
+// with a different version or a different config hash is rejected at load
+// and the caller falls back to enumeration. Snapshots are written
+// atomically (temp + rename), so a crashed writer never leaves a torn file
+// behind.
 
 // SnapshotVersion tags the on-disk format. Bump on any change to the gob
-// shape or to enumeration/canonicalization order.
-const SnapshotVersion = 1
+// shape, the key spelling, or enumeration/canonicalization order.
+// Version 1 stored gob-encoded sketch trees; version 2 stores canonical
+// keys with a per-bucket checksum.
+const SnapshotVersion = 2
 
 // snapshotFile is the gob-encoded snapshot shape.
 type snapshotFile struct {
@@ -48,11 +55,32 @@ type snapshotFile struct {
 	Buckets []snapshotBucket
 }
 
-// snapshotBucket is one bucket's persisted enumeration state.
+// snapshotBucket is one bucket's persisted enumeration state: Count
+// sketches as newline-joined canonical keys, Sum the keySum of Keys.
 type snapshotBucket struct {
 	Ops       dsl.OpSet
-	Sketches  []*dsl.Node
+	Count     int
+	Keys      string
+	Sum       uint64
 	Exhausted bool
+}
+
+// keySum is FNV-64a over s, without copying s into a byte slice.
+func keySum(s string) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= 1099511628211
+	}
+	return h
+}
+
+// keyCount is the number of newline-separated keys in a bucket's blob.
+func keyCount(keys string) int {
+	if keys == "" {
+		return 0
+	}
+	return strings.Count(keys, "\n") + 1
 }
 
 // ConfigHash fingerprints everything that decides which sketch space a
@@ -94,9 +122,11 @@ func (o Options) ConfigHash() string {
 func (c *SketchCorpus) ConfigHash() string { return c.cfgHash }
 
 // WriteSnapshot serializes the corpus's materialized sketch space to w.
-// Safe to call while jobs are running: each bucket is copied under its
-// lock, so the snapshot is a consistent per-bucket prefix (entries are
-// immutable once published).
+// Safe to call while jobs are running: each bucket's state is copied under
+// its lock, so the snapshot is a consistent per-bucket prefix (entries are
+// immutable once published). A restored bucket keeps its snapshot keys
+// verbatim, decoded or not, followed by the keys of any sketches
+// enumerated past them.
 func (c *SketchCorpus) WriteSnapshot(w io.Writer) error {
 	sf := snapshotFile{
 		Version: SnapshotVersion,
@@ -106,15 +136,30 @@ func (c *SketchCorpus) WriteSnapshot(w io.Writer) error {
 	for _, ops := range c.keys {
 		b := c.buckets[ops]
 		b.mu.Lock()
-		sketches := append([]*dsl.Node(nil), b.cache...)
+		restored, loaded := b.restored, b.loaded
+		extended := b.cache[min(loaded, len(b.cache)):]
 		exhausted := b.exhausted
 		b.mu.Unlock()
-		if len(sketches) == 0 && !exhausted {
+		if loaded == 0 && len(extended) == 0 && !exhausted {
 			continue // never touched; nothing to restore
+		}
+		keys := restored
+		if len(extended) > 0 {
+			var sb strings.Builder
+			sb.WriteString(restored)
+			for _, sk := range extended {
+				if sb.Len() > 0 {
+					sb.WriteByte('\n')
+				}
+				sb.WriteString(sk.Key())
+			}
+			keys = sb.String()
 		}
 		sf.Buckets = append(sf.Buckets, snapshotBucket{
 			Ops:       ops,
-			Sketches:  sketches,
+			Count:     loaded + len(extended),
+			Keys:      keys,
+			Sum:       keySum(keys),
 			Exhausted: exhausted,
 		})
 	}
@@ -131,7 +176,11 @@ func (c *SketchCorpus) WriteSnapshot(w io.Writer) error {
 // temp files abandoned by crashed writers are swept (age-gated, so a
 // concurrent writer's in-flight temp in a shared snapshot dir is never
 // touched).
+//
+// A successful save marks the corpus clean: Registry.Save and
+// Registry.Prewarm skip it until a Take materializes something new.
 func (c *SketchCorpus) SaveSnapshot(path string) error {
+	gen := c.gen.Load()
 	dir := filepath.Dir(path)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -166,6 +215,7 @@ func (c *SketchCorpus) SaveSnapshot(path string) error {
 		d.Sync()
 		d.Close()
 	}
+	c.savedGen.Store(gen)
 	return nil
 }
 
@@ -193,12 +243,13 @@ func sweepStaleTemps(dir string) {
 
 // LoadSnapshot builds a corpus for opts and restores the sketch space from
 // the gob stream. The snapshot must carry the current SnapshotVersion and
-// the exact ConfigHash of opts; anything else is an error (callers fall
-// back to a cold New). Restored sketches have their canonical keys
-// memoized and their register programs compiled into the program cache, so
-// a subsequent run performs zero enumeration (a bucket saved
-// non-exhausted resumes its enumerator only if a Take outgrows the
-// restored prefix).
+// the exact ConfigHash of opts, and every bucket's keys must match its
+// checksum and count; anything else is an error (callers fall back to a
+// cold New). Restored buckets keep their keys undecoded until a Take
+// reaches them, and programs compile on first use, so a load costs about
+// one gob decode of the key strings. A subsequent run performs zero
+// enumeration (a bucket saved non-exhausted resumes its enumerator only if
+// a Take outgrows the restored prefix). The restored corpus starts clean.
 func LoadSnapshot(r io.Reader, opts Options) (*SketchCorpus, error) {
 	var sf snapshotFile
 	if err := gob.NewDecoder(r).Decode(&sf); err != nil {
@@ -218,19 +269,24 @@ func LoadSnapshot(r io.Reader, opts Options) (*SketchCorpus, error) {
 	loaded := 0
 	for _, sb := range sf.Buckets {
 		b := c.buckets[sb.Ops]
-		if b == nil {
+		switch {
+		case b == nil:
 			return nil, fmt.Errorf("corpus: snapshot bucket %s not in the %s DSL's space", sb.Ops, opts.DSL.Name)
+		case b.loaded > 0 || b.exhausted:
+			return nil, fmt.Errorf("corpus: snapshot bucket %s stored twice", sb.Ops)
+		case keySum(sb.Keys) != sb.Sum:
+			return nil, fmt.Errorf("corpus: snapshot bucket %s fails its checksum", sb.Ops)
+		case keyCount(sb.Keys) != sb.Count:
+			return nil, fmt.Errorf("corpus: snapshot bucket %s holds %d keys, header says %d",
+				sb.Ops, keyCount(sb.Keys), sb.Count)
+		case sb.Count > c.bucketCap:
+			return nil, fmt.Errorf("corpus: snapshot bucket %s holds %d sketches, cap is %d",
+				sb.Ops, sb.Count, c.bucketCap)
 		}
-		for _, sk := range sb.Sketches {
-			// Recompute the canonical key (the unexported memo does not
-			// survive gob) before publication, exactly like Take, and warm
-			// the compiled-program cache from it.
-			c.Program(sk.Key(), sk)
-		}
-		b.cache = sb.Sketches
-		b.loaded = len(sb.Sketches)
+		b.restored, b.rest = sb.Keys, sb.Keys
+		b.loaded = sb.Count
 		b.exhausted = sb.Exhausted
-		loaded += len(sb.Sketches)
+		loaded += sb.Count
 	}
 	c.obsv.Counter("corpus.snapshot_sketches_loaded").Add(int64(loaded))
 	return c, nil

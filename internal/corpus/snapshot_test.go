@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -267,4 +269,405 @@ func TestSaveSnapshotCrashSafe(t *testing.T) {
 	if _, err := LoadSnapshotFile(path, snapOpts(nil)); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// prewarmedSnapshot returns the snapshot bytes of a corpus prewarmed under
+// opts.
+func prewarmedSnapshot(t testing.TB, opts Options) []byte {
+	t.Helper()
+	c, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.Prewarm(context.Background(), 4)
+	var buf bytes.Buffer
+	if err := c.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestKeySumIsFNV64a pins the checksum as FNV-64a, the hash the snapshot
+// format documents.
+func TestKeySumIsFNV64a(t *testing.T) {
+	for _, s := range []string{"", "w", "(+ w c)\n(* c s1)"} {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if got, want := keySum(s), h.Sum64(); got != want {
+			t.Errorf("keySum(%q) = %x, FNV-64a %x", s, got, want)
+		}
+	}
+}
+
+// TestSnapshotRejectsCorruption flips one byte inside a bucket's key blob:
+// the checksum must reject the file, and a registry over it must fall back
+// to a cold build serving the same prefixes as New.
+func TestSnapshotRejectsCorruption(t *testing.T) {
+	snap := prewarmedSnapshot(t, snapOpts(nil))
+	i := bytes.Index(snap, []byte("\n(+ "))
+	if i < 0 {
+		t.Fatal("no key blob found in the snapshot")
+	}
+	bad := append([]byte(nil), snap...)
+	bad[i+2] = '-' // "(+ ..." becomes "(- ...": still a well-formed key
+	if _, err := LoadSnapshot(bytes.NewReader(bad), snapOpts(nil)); err == nil ||
+		!strings.Contains(err.Error(), "checksum") {
+		t.Fatalf("corrupted key blob not rejected: %v", err)
+	}
+	if _, err := LoadSnapshot(bytes.NewReader(snap), snapOpts(nil)); err != nil {
+		t.Fatalf("intact snapshot rejected: %v", err)
+	}
+
+	dir := t.TempDir()
+	reg := obs.New()
+	reg.EnableFlight(64)
+	r := NewRegistry(dir, reg)
+	defer r.Close()
+	if err := os.WriteFile(r.snapshotPath(snapOpts(nil)), bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := r.Get(snapOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	counters := reg.CounterValues("corpus.registry_")
+	if counters["corpus.registry_builds"] != 1 || counters["corpus.registry_snapshot_loads"] != 0 {
+		t.Fatalf("corrupted snapshot: %v, want one cold build and no load", counters)
+	}
+	noted := false
+	for _, ev := range reg.Flight().Snapshot() {
+		noted = noted || ev.Name == "snapshot_load_failed"
+	}
+	if !noted {
+		t.Error("no snapshot_load_failed flight note")
+	}
+	want, err := New(snapOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer want.Close()
+	for _, ops := range want.Buckets() {
+		w, wEx := want.Take(ops, 64, 0, 0)
+		g, gEx := got.Take(ops, 64, 0, 0)
+		if len(g) != len(w) || gEx != wEx {
+			t.Fatalf("bucket %s: fallback Take %d (%t), New %d (%t)", ops, len(g), gEx, len(w), wEx)
+		}
+		for k := range g {
+			if g[k].Key() != w[k].Key() {
+				t.Fatalf("bucket %s: fallback sketch %d = %s, New %s", ops, k, g[k].Key(), w[k].Key())
+			}
+		}
+	}
+}
+
+// TestTakeDecodesLazily pins decode-on-demand: a Take of n sketches from
+// a restored bucket parses at most n keys, counts them as shared, and
+// reports exhaustion by the restored total, not by what it decoded.
+func TestTakeDecodesLazily(t *testing.T) {
+	snap := prewarmedSnapshot(t, snapOpts(nil))
+	cold, err := New(snapOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	reg := obs.New()
+	warm, err := LoadSnapshot(bytes.NewReader(snap), snapOpts(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	if got := reg.CounterValues("corpus.")["corpus.snapshot_sketches_decoded"]; got != 0 {
+		t.Fatalf("LoadSnapshot decoded %d sketches, want 0", got)
+	}
+	served := int64(0)
+	for _, ops := range warm.Buckets() {
+		for _, n := range []int{3, 2, 1, 7} {
+			before := reg.CounterValues("corpus.")["corpus.snapshot_sketches_decoded"]
+			got, gotEx := warm.Take(ops, n, 0, 0)
+			want, wantEx := cold.Take(ops, n, 0, 0)
+			served += int64(len(got))
+			decoded := reg.CounterValues("corpus.")["corpus.snapshot_sketches_decoded"] - before
+			if decoded > int64(n) {
+				t.Fatalf("bucket %s: Take(%d) decoded %d sketches", ops, n, decoded)
+			}
+			if b := warm.buckets[ops]; len(b.cache) > 7 {
+				t.Fatalf("bucket %s: %d sketches decoded after Takes of at most 7", ops, len(b.cache))
+			}
+			if len(got) != len(want) || gotEx != wantEx {
+				t.Fatalf("bucket %s: Take(%d) = %d (exhausted %t), cold %d (%t)",
+					ops, n, len(got), gotEx, len(want), wantEx)
+			}
+			for i := range got {
+				if got[i].Key() != want[i].Key() {
+					t.Fatalf("bucket %s: sketch %d = %s, cold %s", ops, i, got[i].Key(), want[i].Key())
+				}
+			}
+		}
+	}
+	c := reg.CounterValues("")
+	if c["corpus.sketches_shared"] != served || c["corpus.sketches_enumerated"] != 0 || c["enum.candidates"] != 0 {
+		t.Errorf("restored Takes: shared %d (want %d), enumerated %d, candidates %d (want 0)",
+			c["corpus.sketches_shared"], served, c["corpus.sketches_enumerated"], c["enum.candidates"])
+	}
+}
+
+// TestPrewarmRestoredDoesNothing pins that Prewarm of a corpus restored
+// from a complete snapshot neither decodes nor enumerates.
+func TestPrewarmRestoredDoesNothing(t *testing.T) {
+	snap := prewarmedSnapshot(t, snapOpts(nil))
+	reg := obs.New()
+	warm, err := LoadSnapshot(bytes.NewReader(snap), snapOpts(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	warm.Prewarm(context.Background(), 4)
+	c := reg.CounterValues("")
+	if c["corpus.snapshot_sketches_decoded"] != 0 || c["enum.candidates"] != 0 {
+		t.Errorf("Prewarm of a complete restored corpus decoded %d sketches, enumerated %d candidates",
+			c["corpus.snapshot_sketches_decoded"], c["enum.candidates"])
+	}
+	if warm.dirty() {
+		t.Error("Prewarm dirtied a complete restored corpus")
+	}
+}
+
+// TestWriteSnapshotRestoredByteIdentical pins the verbatim round trip: a
+// restored corpus that was never extended writes back the file it was
+// loaded from, byte for byte — untouched, and after Takes that decoded
+// part of it.
+func TestWriteSnapshotRestoredByteIdentical(t *testing.T) {
+	for _, snap := range [][]byte{prewarmedSnapshot(t, snapOpts(nil)), partialSnapshot(t, 8)} {
+		warm, err := LoadSnapshot(bytes.NewReader(snap), snapOpts(nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again bytes.Buffer
+		if err := warm.WriteSnapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), snap) {
+			t.Fatalf("untouched restored corpus wrote %d bytes that differ from the %d loaded", again.Len(), len(snap))
+		}
+		for _, ops := range warm.Buckets() {
+			warm.Take(ops, 5, 0, 0)
+		}
+		again.Reset()
+		if err := warm.WriteSnapshot(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), snap) {
+			t.Fatal("partly decoded restored corpus does not write back its snapshot verbatim")
+		}
+		if warm.dirty() {
+			t.Error("decoding restored sketches dirtied the corpus")
+		}
+		warm.Close()
+	}
+}
+
+// partialSnapshot snapshots a corpus with only the first n sketches of
+// every bucket materialized.
+func partialSnapshot(t testing.TB, n int) []byte {
+	t.Helper()
+	c, err := New(snapOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, ops := range c.Buckets() {
+		c.Take(ops, n, 0, 0)
+	}
+	var buf bytes.Buffer
+	if err := c.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestRegistryCleanCorpusNotSaved pins that a restart over a complete
+// snapshot rewrites nothing: Registry.Prewarm and Registry.Save both skip
+// the clean restored corpus, leaving the file's bytes as they were.
+func TestRegistryCleanCorpusNotSaved(t *testing.T) {
+	dir := t.TempDir()
+	opts := snapOpts(nil)
+	r1 := NewRegistry(dir, obs.New())
+	if _, err := r1.Prewarm(context.Background(), opts, 4); err != nil {
+		t.Fatal(err)
+	}
+	r1.Close()
+	path := r1.snapshotPath(opts)
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reg := obs.New()
+	r2 := NewRegistry(dir, reg)
+	defer r2.Close()
+	c, err := r2.Prewarm(context.Background(), opts, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ops := range c.Buckets() {
+		c.Take(ops, 64, 0, 0)
+	}
+	if err := r2.Save(); err != nil {
+		t.Fatal(err)
+	}
+	counters := reg.CounterValues("corpus.")
+	if counters["corpus.registry_snapshot_loads"] != 1 || counters["corpus.snapshot_saves"] != 0 {
+		t.Errorf("restart over a complete snapshot: %d loads, %d saves (want 1, 0)",
+			counters["corpus.registry_snapshot_loads"], counters["corpus.snapshot_saves"])
+	}
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("snapshot file changed by a clean restart (err %v)", err)
+	}
+}
+
+// TestRestoredExtendedCorpusIsDirty pins the other side: a corpus
+// restored from a mid-enumeration snapshot and then extended is dirty,
+// is saved, and the saved file restores the extended prefixes.
+func TestRestoredExtendedCorpusIsDirty(t *testing.T) {
+	dir := t.TempDir()
+	opts := snapOpts(nil)
+	reg := obs.New()
+	r := NewRegistry(dir, reg)
+	if err := os.WriteFile(r.snapshotPath(opts), partialSnapshot(t, 8), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := r.Get(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.dirty() {
+		t.Fatal("freshly restored corpus is dirty")
+	}
+	for _, ops := range c.Buckets() {
+		c.Take(ops, 32, 0, 0)
+	}
+	if !c.dirty() {
+		t.Fatal("restored corpus extended past its snapshot is not dirty")
+	}
+	if err := r.Save(); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.CounterValues("corpus.")["corpus.snapshot_saves"]; got != 1 {
+		t.Fatalf("snapshot_saves = %d, want 1", got)
+	}
+	if c.dirty() {
+		t.Error("corpus still dirty after a save")
+	}
+	r.Close()
+
+	warm, err := LoadSnapshotFile(r.snapshotPath(opts), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	cold, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	for _, ops := range cold.Buckets() {
+		want, _ := cold.Take(ops, 32, 0, 0)
+		if b := warm.buckets[ops]; b.loaded != len(want) {
+			t.Fatalf("bucket %s: saved %d sketches, want %d", ops, b.loaded, len(want))
+		}
+		got, _ := warm.Take(ops, 32, 0, 0)
+		for i := range want {
+			if got[i].Key() != want[i].Key() {
+				t.Fatalf("bucket %s: re-restored sketch %d = %s, cold %s", ops, i, got[i].Key(), want[i].Key())
+			}
+		}
+	}
+}
+
+// TestRestoredConcurrentTakes races Takes of overlapping prefixes, Prewarm
+// and saves over one restored corpus: every Take must still return the
+// cold prefix, and the snapshot must still round-trip byte for byte.
+func TestRestoredConcurrentTakes(t *testing.T) {
+	snap := partialSnapshot(t, 16)
+	cold, err := New(snapOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+	warm, err := LoadSnapshot(bytes.NewReader(snap), snapOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	buckets := warm.Buckets()
+	want := map[dsl.OpSet][]*dsl.Node{}
+	for _, ops := range buckets {
+		want[ops], _ = cold.Take(ops, 16, 0, 0)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, ops := range buckets {
+				n := 1 + (i*7+g*5)%16
+				got, _ := warm.Take(ops, n, 0, 0)
+				for k := range got {
+					if got[k].Key() != want[ops][k].Key() {
+						t.Errorf("bucket %s: concurrent sketch %d = %s, cold %s", ops, k, got[k].Key(), want[ops][k].Key())
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		var buf bytes.Buffer
+		if err := warm.WriteSnapshot(&buf); err != nil {
+			t.Error(err)
+		} else if !bytes.Equal(buf.Bytes(), snap) {
+			t.Error("snapshot written during concurrent decoding differs from the loaded one")
+		}
+	}()
+	wg.Wait()
+	if warm.dirty() {
+		t.Error("concurrent decoding dirtied the corpus")
+	}
+}
+
+// FuzzLoadSnapshot feeds arbitrary bytes to LoadSnapshot: it must return
+// an error or a corpus every bucket of which serves a full Take without
+// panicking.
+func FuzzLoadSnapshot(f *testing.F) {
+	opts := Options{DSL: dsl.Reno(), BucketCap: 6, ScanBudget: 2000}
+	c, err := New(opts)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, ops := range c.Buckets()[:8] {
+		c.Take(ops, 6, 0, 0)
+	}
+	c.Take(c.Buckets()[9], 2, 0, 0)
+	var buf bytes.Buffer
+	if err := c.WriteSnapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	c.Close()
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()/2])
+	f.Add([]byte{})
+	f.Add([]byte("not a gob stream"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := LoadSnapshot(bytes.NewReader(data), opts)
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		for _, ops := range c.Buckets() {
+			c.Take(ops, opts.BucketCap, 0, 0)
+		}
+	})
 }
