@@ -31,5 +31,5 @@ bench:
 THRESH ?= 0.20
 bench-compare:
 	@mkdir -p bench
-	$(GO) test -bench='ScoreHandler|ReplayProgram|ReplayClosure|DTWDistance|TraceAnalysis|Obs|PcapRead|BatchSynthesize|BatchSequential|EvalSeriesBatch|ShardedSynthesize|EnumerateRenoSpace|EnumerateCubicBuckets|SnapshotRestore' -benchmem -run='^$$' . \
+	$(GO) test -bench='ScoreHandler|ReplayProgram|DTWDistance|TraceAnalysis|Obs|PcapRead|BatchSynthesize|BatchSequential|EvalSeriesBatch|ShardedSynthesize|EnumerateRenoSpace|EnumerateCubicBuckets|SnapshotRestore' -benchmem -run='^$$' . \
 		| tee /dev/stderr | $(GO) run ./cmd/benchdiff -record -dir bench -threshold $(THRESH)

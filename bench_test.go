@@ -386,10 +386,10 @@ func BenchmarkScoreHandlerCutoff(b *testing.B) { benchmarkScoreHandler(b, true) 
 // dominant fate in the real funnel once an incumbent exists (lb_prunes
 // dwarf full scores); the cost is replay plus envelope passes, not DP
 // cells, so this is the regime the K-wide VM was built for. The batch
-// variant scores the set in one ScoreBatch call (one K-wide VM replay
-// plus one multi-series lower-bound pass); the scalar variant walks the
-// identical lane set one completion at a time, so the pair measures the
-// batching win on identical work.
+// variant scores the set in one ScoreBatchDetail call (one K-wide VM
+// replay plus one multi-series lower-bound pass); the scalar variant scores
+// the identical lane set with a separate one-lane call per completion, so
+// the pair measures the batching win on identical work.
 func benchmarkScoreHandlerLanes(b *testing.B, batch bool) {
 	res, err := sim.Run(sim.Config{
 		CCA: "reno", Bandwidth: 10e6 / 8, RTT: 40 * time.Millisecond,
@@ -424,10 +424,10 @@ func benchmarkScoreHandlerLanes(b *testing.B, batch bool) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if batch {
-			cs.ScoreBatch(valsK, cutoffs, ds, exacts)
+			cs.ScoreBatchDetail(valsK, cutoffs, ds, exacts, nil)
 		} else {
 			for l := range valsK {
-				ds[l], exacts[l] = cs.Score(valsK[l], cutoffs[l])
+				cs.ScoreBatchDetail(valsK[l:l+1], cutoffs[l:l+1], ds[l:l+1], exacts[l:l+1], nil)
 			}
 		}
 	}
@@ -441,7 +441,7 @@ func benchmarkScoreHandlerLanes(b *testing.B, batch bool) {
 func BenchmarkScoreHandlerCutoffBatch(b *testing.B) { benchmarkScoreHandlerLanes(b, true) }
 
 // BenchmarkScoreHandlerCutoffScalarLanes is the identical lane workload
-// scored one completion at a time — the batched variant's direct scalar
+// scored one completion per call — the batched variant's direct one-lane
 // baseline.
 func BenchmarkScoreHandlerCutoffScalarLanes(b *testing.B) { benchmarkScoreHandlerLanes(b, false) }
 
@@ -450,10 +450,7 @@ func BenchmarkScoreHandlerCutoffScalarLanes(b *testing.B) { benchmarkScoreHandle
 // BenchmarkReplayProgram isolates the replay inner loop the Scorer runs per
 // candidate: Program.EvalSeries over a segment's signal columns with the
 // hoisted prologue cached, constants patched per call — no metric work.
-// BenchmarkReplayClosure replays the identical handler through the
-// dsl.Compile closure path (the pre-VM engine, still used by Synthesize)
-// so the speedup is visible in one bench run. acks/op reports the segment
-// length both loops cover.
+// acks/op reports the segment length the loop covers.
 
 // benchReplaySegment returns the longest segment of the standard reno run.
 func benchReplaySegment(b *testing.B) *trace.Segment {
@@ -537,32 +534,6 @@ func BenchmarkEvalSeriesBatch(b *testing.B) {
 			b.ReportMetric(float64(cols.N*candidates), "acks/op")
 		})
 	}
-}
-
-func BenchmarkReplayClosure(b *testing.B) {
-	seg := benchReplaySegment(b)
-	envs := replay.Envs(seg)
-	fn := dsl.Compile(dsl.MustParse("cwnd + 0.7*reno-inc"))
-	mss := seg.MSS
-	cwnd0 := math.Max(seg.Samples[0].Cwnd, mss)
-	out := make([]float64, len(envs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cwnd := cwnd0
-		var env dsl.Env
-		for j := range envs {
-			env = envs[j]
-			env.Cwnd = cwnd
-			v, ok := fn(&env)
-			if !ok {
-				b.Fatal("diverged")
-			}
-			cwnd = math.Min(math.Max(v, mss), (1<<20)*mss)
-			out[j] = cwnd / mss
-		}
-	}
-	b.ReportMetric(float64(len(envs)), "acks/op")
 }
 
 // --- Observability fast-path micro-benchmarks ---------------------------

@@ -12,8 +12,8 @@ import (
 )
 
 // TestBatchMatchesScalarScoring is the lane-batched search's determinism
-// pin: a default (batched) run must be bit-for-bit the run ScalarScoring
-// produces — same winning handler, same distance bits, and a fully
+// pin: a default (batched) run must be bit-for-bit the run at lane width 1
+// (one completion per ScoreBatchDetail call) — same winning handler, same distance bits, and a fully
 // DeepEqual SearchStats, funnel stage splits included. Workers is 1 so
 // bucket workers score sequentially: with a single worker the memo cache
 // sees an identical candidate order in both modes, so even the
@@ -32,7 +32,7 @@ func TestBatchMatchesScalarScoring(t *testing.T) {
 		batchOpts.Workers = 1
 		batchOpts.ExactScoring = tc.exact
 		scalarOpts := batchOpts
-		scalarOpts.ScalarScoring = true
+		scalarOpts.lanes = 1
 
 		batch, err := Synthesize(context.Background(), segs, batchOpts)
 		if err != nil {
@@ -70,7 +70,7 @@ func TestBatchMatchesScalarScoringParallel(t *testing.T) {
 	segs := segmentsFor(t, "reno")
 	batchOpts := quickOpts(dsl.Reno())
 	scalarOpts := batchOpts
-	scalarOpts.ScalarScoring = true
+	scalarOpts.lanes = 1
 	batch, err := Synthesize(context.Background(), segs, batchOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestBatchMatchesScalarScoringParallel(t *testing.T) {
 }
 
 // TestBatchLedgerMatchesScalar: the provenance ledger of a batched run
-// dumps byte-identical JSONL to a scalar run of the same seed — lane
+// dumps byte-identical JSONL to a width-1 run of the same seed — lane
 // packing must not change which candidates are offered or what their
 // entries record.
 func TestBatchLedgerMatchesScalar(t *testing.T) {
@@ -107,7 +107,9 @@ func TestBatchLedgerMatchesScalar(t *testing.T) {
 		led := replay.NewLedger(48, 7)
 		opts := quickOpts(dsl.Reno())
 		opts.Workers = 1
-		opts.ScalarScoring = scalarScoring
+		if scalarScoring {
+			opts.lanes = 1
+		}
 		opts.Ledger = led
 		if _, err := Synthesize(context.Background(), segs, opts); err != nil {
 			t.Fatal(err)

@@ -27,7 +27,7 @@ type cacheEntry struct {
 // memory afterwards. Exact hits return the true distance, so cache timing
 // can never change what the search keeps; lower-bound entries only ever
 // answer "provably worse than your cutoff", which is equally trajectory-
-// neutral (see scoreHandler).
+// neutral (see scoreSketch).
 type scoreCache struct {
 	mu  sync.Mutex
 	m   map[uint64]cacheEntry

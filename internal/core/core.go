@@ -97,13 +97,6 @@ type Options struct {
 	// so this is a debugging/differential-testing knob, not an accuracy
 	// one.
 	ExactScoring bool
-	// ScalarScoring disables the lane-batched scoring path: completions
-	// are scored one at a time through the scalar replay kernel instead
-	// of replay.Lanes-wide batches. The batched path is bit-identical to
-	// scalar scoring — same best handler, distances, funnel, and ledger —
-	// so like ExactScoring this is a differential-testing/debugging knob,
-	// not an accuracy one.
-	ScalarScoring bool
 	// GreedyPruning additionally lets scoring workers use the global
 	// best-so-far distance (an atomic shared across buckets) as their
 	// cutoff instead of only bucket-local state. This prunes deeper but
@@ -154,6 +147,11 @@ type Options struct {
 	// progress stream. Nil disables instrumentation at near-zero cost
 	// (nil-receiver no-ops); it never changes search behavior.
 	Obs *obs.Registry
+
+	// lanes overrides how many completions scoreSketch packs into one
+	// ScoreBatchDetail call (0 means replay.Lanes). Only core's tests set
+	// it: width 1 is the one-lane run the batched search is pinned against.
+	lanes int
 }
 
 func (o Options) withDefaults() Options {
@@ -1015,52 +1013,6 @@ func (r *runState) cutoff(c float64) float64 {
 	return c
 }
 
-// scoreHandler scores one concrete handler over the iteration's segment
-// set, going through the canonical-handler memo cache. h is the bound tree
-// (the memo key's canonical form); cs and vals are its executable form —
-// the sketch's program with vals patched into the constant pool. Exact
-// cache hits return the true distance; lower-bound entries may only settle
-// lookups they already dominate (entry >= cutoff), otherwise the handler
-// is rescored under the caller's cutoff and the cache entry improves.
-func (r *runState) scoreHandler(h *dsl.Node, cs *replay.CompiledSketch, vals []float64, setID uint64, cutoff float64, fl *Funnel, co *replay.CandidateOutcome) (float64, bool) {
-	if r.opts.ExactScoring {
-		d, _ := r.timedScore(cs, vals, math.Inf(1), co)
-		fl.observe(co)
-		return d, true
-	}
-	key := handlerKey(h, setID)
-	if e, ok := r.cache.get(key); ok {
-		if e.exact {
-			r.cCacheHits.Inc()
-			fl.count(FunnelCanonicalDup)
-			return e.d, true
-		}
-		if e.d >= cutoff {
-			r.cCacheHits.Inc()
-			fl.count(FunnelCacheLB)
-			return e.d, false
-		}
-	}
-	r.cCacheMisses.Inc()
-	d, exact := r.timedScore(cs, vals, cutoff, co)
-	fl.observe(co)
-	r.cache.put(key, d, exact)
-	return d, exact
-}
-
-// timedScore runs one replay score, feeding the per-handler latency
-// histogram when one is registered. The clock reads are skipped entirely
-// otherwise — benchmarks and headless runs pay nothing.
-func (r *runState) timedScore(cs *replay.CompiledSketch, vals []float64, cutoff float64, co *replay.CandidateOutcome) (float64, bool) {
-	if r.hScore == nil {
-		return cs.ScoreDetail(vals, cutoff, co)
-	}
-	t0 := time.Now()
-	d, exact := cs.ScoreDetail(vals, cutoff, co)
-	r.hScore.Observe(time.Since(t0).Seconds())
-	return d, exact
-}
-
 // addFunnelCounters bulk-adds one worker-iteration's funnel into the obs
 // registry counters — a handful of atomics per bucket per iteration
 // rather than one per candidate.
@@ -1081,8 +1033,13 @@ func (r *runState) addFunnelCounters(fl *Funnel) {
 
 // completions returns the constant assignments to try for a sketch: the
 // full cross product when small enough, otherwise a deterministic random
-// sample (§4.2's approximate concretization).
+// sample (§4.2's approximate concretization). A hole-free sketch gets one
+// empty assignment.
 func completions(sk *dsl.Node, pool []float64, holes, maxN int, seed int64) [][]float64 {
+	if holes == 0 {
+		// A hole-free sketch is its own single completion, pool or not.
+		return [][]float64{{}}
+	}
 	if len(pool) == 0 {
 		return nil
 	}

@@ -325,6 +325,12 @@ func TestCompletionsCrossProduct(t *testing.T) {
 	if len(seen) != 9 {
 		t.Errorf("cross product has duplicates: %d unique", len(seen))
 	}
+	// A hole-free sketch is its own single completion, whatever the pool.
+	for _, p := range [][]float64{pool, nil} {
+		if got := completions(dsl.MustParse("cwnd + reno-inc"), p, 0, 100, 0); len(got) != 1 || len(got[0]) != 0 {
+			t.Errorf("hole-free completions (pool of %d) = %v, want one empty assignment", len(p), got)
+		}
+	}
 }
 
 func TestCompletionsSampledDeterministic(t *testing.T) {
@@ -344,6 +350,31 @@ func TestCompletionsSampledDeterministic(t *testing.T) {
 	}
 	if got := completions(sk, nil, 3, 20, 7); got != nil {
 		t.Error("empty pool should produce no completions")
+	}
+}
+
+// TestSynthesizeEmptyPoolScoresHoleFree: with no constants to fill holes,
+// the search still scores every hole-free sketch, and the completions
+// counter (constant completions only) stays at zero.
+func TestSynthesizeEmptyPoolScoresHoleFree(t *testing.T) {
+	segs := segmentsFor(t, "reno")
+	d := *dsl.Reno()
+	d.Constants = nil
+	reg := obs.New()
+	opts := quickOpts(&d)
+	opts.Obs = reg
+	res, err := Synthesize(context.Background(), segs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Handler == nil || res.Handler.Holes() != 0 || math.IsInf(res.Distance, 1) {
+		t.Fatalf("no hole-free winner: %v at %v", res.Handler, res.Distance)
+	}
+	if res.Stats.HandlersScored == 0 {
+		t.Error("no handlers scored")
+	}
+	if got := reg.Report().Counters["core.completions_sampled"]; got != 0 {
+		t.Errorf("completions_sampled = %d with an empty pool, want 0", got)
 	}
 }
 

@@ -82,23 +82,18 @@ func (s *laneScratch) hasKey(key uint64) bool {
 }
 
 // flushLanes scores the pending batch and folds each lane into the worker
-// funnel, the memo cache, and the per-assignment results. ScalarScoring
-// routes the lanes one at a time through the scalar kernel instead — the
-// K=1 oracle the batched path is pinned against.
+// funnel, the memo cache, and the per-assignment results. The per-handler
+// latency histogram, when registered, observes each batch call; the clock
+// reads are skipped otherwise.
 func (r *runState) flushLanes(cs *replay.CompiledSketch, scr *laneScratch, fl *Funnel) {
 	k := len(scr.idx)
 	if k == 0 {
 		return
 	}
 	ds, exacts, outs := scr.ds[:k], scr.exacts[:k], scr.outs[:k]
-	switch {
-	case r.opts.ScalarScoring:
-		for l := 0; l < k; l++ {
-			ds[l], exacts[l] = r.timedScore(cs, scr.valsK[l], scr.cutoffs[l], &outs[l])
-		}
-	case r.hScore == nil:
+	if r.hScore == nil {
 		cs.ScoreBatchDetail(scr.valsK, scr.cutoffs, ds, exacts, outs)
-	default:
+	} else {
 		t0 := time.Now()
 		cs.ScoreBatchDetail(scr.valsK, scr.cutoffs, ds, exacts, outs)
 		r.hScore.Observe(time.Since(t0).Seconds())
@@ -118,17 +113,17 @@ func (r *runState) flushLanes(cs *replay.CompiledSketch, scr *laneScratch, fl *F
 
 // scoreSketch concretizes a sketch's holes from the constant pool and
 // returns the best handler, its distance (with its exactness flag), and
-// the number of handlers evaluated. Completions are packed replay.Lanes
-// wide and scored through the lane-batched replay kernel (ScalarScoring
-// forces width 1 through the scalar kernel). Each candidate's fate lands
-// in fl (the worker's funnel); scr is the worker's reusable lane state.
-// Sampling is deterministic per (sketch, seed).
+// the number of handlers evaluated. A hole-free sketch is its own single
+// completion. Completions are packed replay.Lanes wide and scored through
+// the lane-batched replay kernel, which every handler goes through. Each
+// candidate's fate lands in fl (the worker's funnel); scr is the worker's
+// reusable lane state. Sampling is deterministic per (sketch, seed).
 //
 // The pruning cutoff is fixed for the whole sketch at entry (the bucket's
 // best, adjusted for the run's mode) rather than tightened by exact
 // results mid-sketch: every completion then scores under the same cutoff
 // no matter which lanes it shares a batch with, which is what makes the
-// batched path bit-identical to scalar scoring at any K. An abandoned
+// batched path bit-identical to one-lane scoring at any K. An abandoned
 // candidate's true score still provably cannot improve the bucket (its
 // running total reached the cutoff, which is at most the bucket best), so
 // exactness — and fl.NewBest, counted in assignment order during the
@@ -139,19 +134,13 @@ func (r *runState) scoreSketch(sk *dsl.Node, scorer *replay.Scorer, setID uint64
 	// with patched constants and shares its hoisted prologue columns.
 	cs := scorer.CompileSketch(sk)
 	cut := r.cutoff(bucketBest)
-	if holes == 0 {
-		d, exact := r.scoreHandler(sk, cs, nil, setID, cut, fl, &scr.outs[0])
-		if exact && d < bucketBest {
-			fl.NewBest++
-		}
-		return sk, d, exact, 1
+	assignments := completions(sk, r.opts.DSL.Constants, holes, r.opts.MaxCompletions, r.opts.Seed)
+	if holes > 0 {
+		r.cCompletions.Add(int64(len(assignments)))
 	}
-	pool := r.opts.DSL.Constants
-	assignments := completions(sk, pool, holes, r.opts.MaxCompletions, r.opts.Seed)
-	r.cCompletions.Add(int64(len(assignments)))
 	width := replay.Lanes
-	if r.opts.ScalarScoring {
-		width = 1
+	if r.opts.lanes > 0 {
+		width = r.opts.lanes
 	}
 	results := scr.reset(len(assignments))
 	for ai, vals := range assignments {
@@ -177,7 +166,7 @@ func (r *runState) scoreSketch(sk *dsl.Node, scorer *replay.Scorer, setID uint64
 				// A canonical duplicate of a lane already in the pending
 				// batch: flush so that lane's score lands in the cache first,
 				// and the duplicate settles below exactly as it would have in
-				// scalar candidate order.
+				// one-at-a-time candidate order.
 				r.flushLanes(cs, scr, fl)
 			}
 			if e, ok := r.cache.get(key); ok {
@@ -204,7 +193,8 @@ func (r *runState) scoreSketch(sk *dsl.Node, scorer *replay.Scorer, setID uint64
 	r.flushLanes(cs, scr, fl)
 
 	// Accounting folds in assignment order once every lane has settled, so
-	// NewBest and the sketch best are those of scalar candidate order.
+	// NewBest and the sketch best are those of one-at-a-time candidate
+	// order.
 	bestD := math.Inf(1)
 	bestExact := false
 	bestIdx := -1

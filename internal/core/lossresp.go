@@ -135,18 +135,11 @@ func SynthesizeLossResponse(events []LossEvent, opts Options) (*LossResponseResu
 	best := &LossResponseResult{Error: math.Inf(1)}
 	scored := 0
 	for sk := range e.All() {
-		holes := sk.Holes()
-		var candidates []*dsl.Node
-		if holes == 0 {
-			candidates = []*dsl.Node{sk}
-		} else {
-			for _, vals := range completions(sk, d.Constants, holes, opts.MaxCompletions, opts.Seed) {
-				if h, err := sk.Bind(vals); err == nil {
-					candidates = append(candidates, h)
-				}
+		for _, vals := range completions(sk, d.Constants, sk.Holes(), opts.MaxCompletions, opts.Seed) {
+			h, err := sk.Bind(vals)
+			if err != nil {
+				continue
 			}
-		}
-		for _, h := range candidates {
 			scored++
 			if s := lossScore(h, events); s < best.Error {
 				best.Handler = h

@@ -38,25 +38,25 @@ func DistanceWithin(m Metric, a, b Series, cutoff float64) float64 {
 
 // DistanceWithin implements BoundedMetric.
 func (d DTW) DistanceWithin(a, b Series, cutoff float64) float64 {
-	v, _ := PreparedDistanceWithin(d, Prepare(d, a), b, cutoff, NewScratch())
+	v, _ := PreparedDistanceDetail(d, Prepare(d, a), b, cutoff, NewScratch())
 	return v
 }
 
 // DistanceWithin implements BoundedMetric.
 func (e Euclidean) DistanceWithin(a, b Series, cutoff float64) float64 {
-	v, _ := PreparedDistanceWithin(e, Prepare(e, a), b, cutoff, NewScratch())
+	v, _ := PreparedDistanceDetail(e, Prepare(e, a), b, cutoff, NewScratch())
 	return v
 }
 
 // DistanceWithin implements BoundedMetric.
 func (mn Manhattan) DistanceWithin(a, b Series, cutoff float64) float64 {
-	v, _ := PreparedDistanceWithin(mn, Prepare(mn, a), b, cutoff, NewScratch())
+	v, _ := PreparedDistanceDetail(mn, Prepare(mn, a), b, cutoff, NewScratch())
 	return v
 }
 
 // DistanceWithin implements BoundedMetric.
 func (f Frechet) DistanceWithin(a, b Series, cutoff float64) float64 {
-	v, _ := PreparedDistanceWithin(f, Prepare(f, a), b, cutoff, NewScratch())
+	v, _ := PreparedDistanceDetail(f, Prepare(f, a), b, cutoff, NewScratch())
 	return v
 }
 
@@ -177,20 +177,13 @@ func (sc *Scratch) rows(n int) (prev, cur []float64) {
 	return sc.prev[:n], sc.cur[:n]
 }
 
-// PreparedDistanceWithin scores candidate b against a prepared series under
-// the BoundedMetric contract, reusing sc's buffers. The second result
-// reports exactness: true means the value is exactly m.Distance(a, b);
-// false means it is a lower bound that is >= cutoff. Unknown metric types
-// fall back to their own Distance/DistanceWithin on the original series.
-func PreparedDistanceWithin(m Metric, p *PreparedSeries, b Series, cutoff float64, sc *Scratch) (float64, bool) {
-	v, o := PreparedDistanceDetail(m, p, b, cutoff, sc)
-	return v, o.Exact()
-}
-
-// PreparedDistanceDetail is PreparedDistanceWithin returning the structured
-// Outcome instead of a bare exactness flag: which cascade stage settled the
-// computation and its cell cost. Outcome.Exact() equals the boolean the
-// Within form returns.
+// PreparedDistanceDetail scores candidate b against a prepared series under
+// the BoundedMetric contract, reusing sc's buffers. The Outcome records
+// which cascade stage settled the computation and its cell cost;
+// Outcome.Exact() reports exactness: true means the value is exactly
+// m.Distance(a, b), false means it is a lower bound that is >= cutoff.
+// Unknown metric types fall back to their own Distance/DistanceWithin on
+// the original series.
 func PreparedDistanceDetail(m Metric, p *PreparedSeries, b Series, cutoff float64, sc *Scratch) (float64, Outcome) {
 	switch m.(type) {
 	case DTW, Euclidean, Manhattan, Frechet:
@@ -215,23 +208,16 @@ func PreparedDistanceDetail(m Metric, p *PreparedSeries, b Series, cutoff float6
 	return gridDistanceWithin(m, p, y, cutoff, sc)
 }
 
-// PreparedDistanceWithinGrid is PreparedDistanceWithin for a candidate that
+// PreparedDistanceDetailGrid is PreparedDistanceDetail for a candidate that
 // is already on the common resample grid (via Resampler.Into), skipping the
 // per-call time-vector validation and interpolation merge. It supports only
 // the four built-in metrics (the generic fallback needs the original
 // series) and obeys the same exactness contract.
-func PreparedDistanceWithinGrid(m Metric, p *PreparedSeries, y []float64, cutoff float64, sc *Scratch) (float64, bool) {
-	v, o := PreparedDistanceDetailGrid(m, p, y, cutoff, sc)
-	return v, o.Exact()
-}
-
-// PreparedDistanceDetailGrid is PreparedDistanceWithinGrid with the
-// structured Outcome, under the PreparedDistanceDetail contract.
 func PreparedDistanceDetailGrid(m Metric, p *PreparedSeries, y []float64, cutoff float64, sc *Scratch) (float64, Outcome) {
 	switch m.(type) {
 	case DTW, Euclidean, Manhattan, Frechet:
 	default:
-		panic("dist: PreparedDistanceWithinGrid requires a built-in metric")
+		panic("dist: PreparedDistanceDetailGrid requires a built-in metric")
 	}
 	if !p.ok || len(y) != ResampleN {
 		return math.Inf(1), Outcome{}

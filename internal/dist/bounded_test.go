@@ -90,7 +90,8 @@ func TestPreparedDistanceWithinExactFlag(t *testing.T) {
 			sc := NewScratch()
 			exactD := m.Distance(a, b)
 			for _, frac := range []float64{0.2, 0.9, 1.1, math.Inf(1)} {
-				d, exact := PreparedDistanceWithin(m, p, b, exactD*frac, sc)
+				d, o := PreparedDistanceDetail(m, p, b, exactD*frac, sc)
+				exact := o.Exact()
 				if exact && d != exactD {
 					t.Fatalf("%s: flagged exact but %v != %v", m.Name(), d, exactD)
 				}
@@ -108,13 +109,13 @@ func TestPreparedMalformedSeries(t *testing.T) {
 	good := ramp(100, 1, 0)
 	bad := Series{Times: []float64{0, 1}, Values: []float64{1, math.NaN()}}
 	for _, m := range Metrics() {
-		d, exact := PreparedDistanceWithin(m, Prepare(m, good), bad, 0.5, NewScratch())
-		if !math.IsInf(d, 1) || !exact {
-			t.Errorf("%s vs NaN series: (%v, %v), want (+Inf, true)", m.Name(), d, exact)
+		d, o := PreparedDistanceDetail(m, Prepare(m, good), bad, 0.5, NewScratch())
+		if !math.IsInf(d, 1) || !o.Exact() {
+			t.Errorf("%s vs NaN series: (%v, %v), want (+Inf, true)", m.Name(), d, o.Exact())
 		}
-		d, exact = PreparedDistanceWithin(m, Prepare(m, bad), good, 0.5, NewScratch())
-		if !math.IsInf(d, 1) || !exact {
-			t.Errorf("%s with NaN prepared: (%v, %v), want (+Inf, true)", m.Name(), d, exact)
+		d, o = PreparedDistanceDetail(m, Prepare(m, bad), good, 0.5, NewScratch())
+		if !math.IsInf(d, 1) || !o.Exact() {
+			t.Errorf("%s with NaN prepared: (%v, %v), want (+Inf, true)", m.Name(), d, o.Exact())
 		}
 	}
 }

@@ -163,11 +163,11 @@ func TestResamplerMatchesResampleInto(t *testing.T) {
 		}
 		for _, m := range Metrics() {
 			for _, cutoff := range []float64{math.Inf(1), 5, 0.5} {
-				dS, eS := PreparedDistanceWithin(m, ref, s, cutoff, nil)
-				dG, eG := PreparedDistanceWithinGrid(m, ref, got, cutoff, nil)
-				if math.Float64bits(dS) != math.Float64bits(dG) || eS != eG {
+				dS, oS := PreparedDistanceDetail(m, ref, s, cutoff, nil)
+				dG, oG := PreparedDistanceDetailGrid(m, ref, got, cutoff, nil)
+				if math.Float64bits(dS) != math.Float64bits(dG) || oS.Exact() != oG.Exact() {
 					t.Errorf("times[%d] %s cutoff %v: series (%v,%v) != grid (%v,%v)",
-						ti, m.Name(), cutoff, dS, eS, dG, eG)
+						ti, m.Name(), cutoff, dS, oS.Exact(), dG, oG.Exact())
 				}
 			}
 		}

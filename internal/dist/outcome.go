@@ -57,9 +57,8 @@ type Outcome struct {
 }
 
 // Exact reports whether the value accompanying this outcome is the exact
-// distance (the computation ran to completion). It matches the boolean of
-// PreparedDistanceWithin bit for bit: every non-full stage returns a lower
-// bound >= cutoff.
+// distance (the computation ran to completion): every non-full stage
+// returns a lower bound >= cutoff.
 func (o Outcome) Exact() bool { return o.Stage == StageFull }
 
 // bandCells is the DP cell count of a full banded pass over an n x m grid —

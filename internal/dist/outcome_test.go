@@ -33,12 +33,6 @@ func TestOutcomeStageConsistency(t *testing.T) {
 				if !o.Exact() && (o.Stage == StageLBKim || o.Stage == StageLBKeogh) && o.Saved <= 0 {
 					t.Fatalf("%s: lower bound at %v saved %d cells", m.Name(), o.Stage, o.Saved)
 				}
-				// The wrapper must agree with the detailed call.
-				dw, exw := PreparedDistanceWithin(m, p, b, exactD*frac, sc)
-				if dw != d || exw != o.Exact() {
-					t.Fatalf("%s: Within (%v,%v) disagrees with Detail (%v,%v)",
-						m.Name(), dw, exw, d, o.Exact())
-				}
 			}
 		}
 	}

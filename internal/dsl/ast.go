@@ -285,10 +285,15 @@ func (n *Node) Walk(fn func(*Node)) {
 }
 
 // Bind returns a copy of the sketch with holes filled left-to-right from
-// vals. It fails if the count does not match.
+// vals. It fails if the count does not match. A hole-free n is returned as
+// is: trees are not mutated once built, so there is nothing to copy.
 func (n *Node) Bind(vals []float64) (*Node, error) {
-	if got := n.Holes(); got != len(vals) {
+	got := n.Holes()
+	if got != len(vals) {
 		return nil, fmt.Errorf("dsl: sketch has %d holes, got %d values", got, len(vals))
+	}
+	if got == 0 {
+		return n, nil
 	}
 	c := n.Clone()
 	i := 0

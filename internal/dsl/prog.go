@@ -1,10 +1,9 @@
 package dsl
 
-// Register-machine handler programs. Compile (compile.go) removes Eval's
-// per-node switch but still pays one indirect call per AST node per ACK and
-// rebuilds the whole closure tree for every constant completion of a
-// sketch. CompileProgram instead flattens the tree into a linear
-// instruction slice over a register file with a constant pool:
+// Register-machine handler programs. Node.Eval walks the tree with a
+// per-node switch for every ACK. CompileProgram instead flattens the tree
+// into a linear instruction slice over a register file with a constant
+// pool:
 //
 //   - common subexpressions are value-numbered away (macros expand into
 //     ordinary arithmetic, so `reno-inc` and a hand-written
@@ -17,10 +16,10 @@ package dsl
 //     (sketch, segment) as whole columns — and a *suffix* re-executed per
 //     ACK with the window feedback (see EvalSeries / RunPrologue).
 //
-// Semantics are bit-identical to Node.Eval and the Compile closure path:
-// the same IEEE operations in the same per-element order, NaN poisoning
-// through comparisons and conditionals, and the same final non-finite
-// check (FuzzProgramVsEval pins all three against each other).
+// Semantics are bit-identical to Node.Eval, the reference: the same IEEE
+// operations in the same per-element order, NaN poisoning through
+// comparisons and conditionals, and the same final non-finite check
+// (FuzzProgramVsEval pins the two against each other).
 
 import (
 	"math"
@@ -145,7 +144,7 @@ func NewExec() *Exec { return &Exec{} }
 
 // patchedPool copies the template pool into ex and fills the hole slots
 // with vals (left-to-right). A nil vals leaves holes NaN, so evaluating an
-// unpatched sketch reports ok=false — mirroring Eval/Compile on a sketch.
+// unpatched sketch reports ok=false — mirroring Eval on a sketch.
 func (p *Program) patchedPool(vals []float64, ex *Exec) []float64 {
 	if cap(ex.pool) < len(p.pool) {
 		ex.pool = make([]float64, len(p.pool))
@@ -233,9 +232,9 @@ func (c *progCompiler) un(op progOp, a uint16) uint16 {
 	return c.emit(inst{op: op, a: a}, c.varying[a])
 }
 
-// num compiles a numeric expression, mirroring compileNum: anything the
-// closure path maps to a constant NaN (invalid ops, bool ops in numeric
-// position, unknown signals/macros) becomes a NaN constant here.
+// num compiles a numeric expression, mirroring Node.eval: anything Eval
+// maps to a constant NaN (invalid ops, bool ops in numeric position,
+// unknown signals/macros) becomes a NaN constant here.
 func (c *progCompiler) num(n *Node) uint16 {
 	switch n.Op {
 	case OpCwnd:
@@ -290,8 +289,8 @@ func (c *progCompiler) num(n *Node) uint16 {
 			}
 			cr = c.bin(op, c.num(cond.Kids[0]), c.num(cond.Kids[1]))
 		} else {
-			// A non-boolean predicate always fails evaluation in the
-			// closure path (compileBool's default); poison the select.
+			// A non-boolean predicate always fails evaluation (evalBool's
+			// default); poison the select.
 			cr = c.constReg(math.NaN())
 		}
 		t, f := c.num(n.Kids[1]), c.num(n.Kids[2])
@@ -302,7 +301,7 @@ func (c *progCompiler) num(n *Node) uint16 {
 	case OpCbrt:
 		return c.un(pCbrt, c.num(n.Kids[0]))
 	default:
-		// OpInvalid and bool operators in numeric position: compileNum
+		// OpInvalid and bool operators in numeric position: Node.eval
 		// yields NaN.
 		return c.constReg(math.NaN())
 	}
@@ -611,8 +610,10 @@ func (p *Program) RunPrologue(cols *Cols) *Prologue {
 }
 
 // Boolean steps encode the NaN-poisoned predicates as 1/0/NaN, matching
-// compileBool: a poisoned predicate (NaN operand, zero modulus) makes the
+// Node.evalBool: a poisoned predicate (NaN operand, zero modulus) makes the
 // enclosing conditional evaluate to NaN.
+
+var nan = math.NaN()
 
 func ltStep(x, y float64) float64 {
 	if x != x || y != y {
@@ -663,8 +664,8 @@ func selStep(c, t, f float64) float64 {
 // (computed on the fly when nil); cwnd0 seeds the window and lo/hi are the
 // replay clamp bounds. It returns the number of rows completed and
 // ok=false when the handler produced a non-finite window — the same
-// divergence rule, clamp arithmetic, and evaluation order as the closure
-// replay path, inlined into one dispatch loop.
+// divergence rule, clamp arithmetic, and evaluation order as the Eval
+// replay (replay.SynthesizeEnvs), inlined into one dispatch loop.
 func (p *Program) EvalSeries(cols *Cols, pro *Prologue, vals []float64, cwnd0, lo, hi, mss float64, out []float64, ex *Exec) (int, bool) {
 	if ex == nil {
 		ex = NewExec()
@@ -770,7 +771,7 @@ func (p *Program) EvalSeries(cols *Cols, pro *Prologue, vals []float64, cwnd0, l
 
 // Eval evaluates the program at a single environment, with vals patching
 // the holes — the scalar entry point the differential tests pin against
-// Node.Eval and the Compile closure. It allocates; series scoring goes
+// Node.Eval. It allocates; series scoring goes
 // through EvalSeries.
 func (p *Program) Eval(env *Env, vals []float64) (float64, bool) {
 	ex := NewExec()

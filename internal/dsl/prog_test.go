@@ -2,8 +2,11 @@ package dsl
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/obs"
 )
@@ -27,24 +30,92 @@ func progEnvs() []*Env {
 	return []*Env{nominal, zeroCwnd, zeroRTT, flatRTT, nanSig, infSig, tiny}
 }
 
-// agree checks the three evaluators — Node.Eval, the Compile closure, and
-// the register VM — produce bit-identical (value, ok) at one env.
+// evalCorpus exercises every operator, signal and macro, plus the guard
+// cases each evaluator must fail on (TestEvalGuards pins that Eval does):
+// division and modulo by zero, NaN poisoning through a signal (progEnvs'
+// nanSig and zeroCwnd), and an unbound sketch.
+var evalCorpus = []string{
+	"cwnd",
+	"mss",
+	"acked",
+	"time-since-loss",
+	"rtt",
+	"min-rtt",
+	"max-rtt",
+	"ack-rate",
+	"rtt-gradient",
+	"wmax",
+	"reno-inc",
+	"vegas-diff",
+	"htcp-diff",
+	"rtts-since-loss",
+	"cwnd + 0.7*reno-inc",
+	"cwnd - mss",
+	"cwnd/rtt*min-rtt",
+	"cube(time-since-loss) + cbrt(wmax)",
+	"{vegas-diff < 1} ? cwnd + mss : cwnd - mss",
+	"{vegas-diff > 5} ? mss : cwnd",
+	"min-rtt*ack-rate*({rtts-since-loss % 8 = 0} ? 2.6 : 2.05)",
+	"wmax + cube(11*time-since-loss - cbrt(0.3*wmax))",
+	"{cwnd % 2.7 = 0} ? 2.05*cwnd : mss",
+	"cwnd/0",
+	"{cwnd % 0 = 0} ? 1 : 2",
+	"cwnd + rtt*ack-rate",
+	"c1*mss",
+}
+
+// agree checks the two evaluators — Node.Eval, the reference, and the
+// register VM — produce bit-identical (value, ok) at one env.
 func agree(t *testing.T, n *Node, e *Env, label string) {
 	t.Helper()
 	ev, errEv := n.Eval(e)
 	okEv := errEv == nil
-	cv, okC := Compile(n)(e)
 	p := CompileProgram(n)
 	pv, okP := p.Eval(e, nil)
-	if okEv != okC || okC != okP {
-		t.Fatalf("%s: ok mismatch: Eval %v, Compile %v, Program %v", label, okEv, okC, okP)
+	if okEv != okP {
+		t.Fatalf("%s: ok mismatch: Eval %v, Program %v", label, okEv, okP)
 	}
 	if !okEv {
 		return
 	}
-	if math.Float64bits(ev) != math.Float64bits(cv) || math.Float64bits(cv) != math.Float64bits(pv) {
-		t.Fatalf("%s: value mismatch: Eval %x, Compile %x, Program %x",
-			label, math.Float64bits(ev), math.Float64bits(cv), math.Float64bits(pv))
+	if math.Float64bits(ev) != math.Float64bits(pv) {
+		t.Fatalf("%s: value mismatch: Eval %x, Program %x",
+			label, math.Float64bits(ev), math.Float64bits(pv))
+	}
+}
+
+// randEnv builds a random but physically-plausible environment.
+func randEnv(rng *rand.Rand) *Env {
+	minRTT := 0.01 + rng.Float64()*0.1
+	return &Env{
+		Cwnd:          1448 * (1 + rng.Float64()*100),
+		MSS:           1448,
+		Acked:         1448 * rng.Float64() * 4,
+		TimeSinceLoss: rng.Float64() * 20,
+		RTT:           minRTT + rng.Float64()*0.1,
+		MinRTT:        minRTT,
+		MaxRTT:        minRTT + 0.1 + rng.Float64()*0.1,
+		AckRate:       1e4 + rng.Float64()*3e6,
+		RTTGradient:   (rng.Float64() - 0.5) * 2,
+		WMax:          1448 * (1 + rng.Float64()*100),
+	}
+}
+
+// TestQuickProgramMatchesEval: the VM agrees with Eval on every corpus
+// expression over the fixed env grid and random environments.
+func TestQuickProgramMatchesEval(t *testing.T) {
+	for _, src := range evalCorpus {
+		n := MustParse(src)
+		for i, e := range progEnvs() {
+			agree(t, n, e, fmt.Sprintf("%s env#%d", src, i))
+		}
+		f := func(seed int64) bool {
+			agree(t, n, randEnv(rand.New(rand.NewSource(seed))), src)
+			return true
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -87,7 +158,7 @@ func TestProgramHolePatching(t *testing.T) {
 				}
 			}
 		}
-		// An unpatched sketch must fail evaluation, like Eval/Compile.
+		// An unpatched sketch must fail evaluation, like Eval.
 		if _, ok := ps.Eval(env(), nil); ok {
 			t.Errorf("%q: unpatched sketch evaluated ok", src)
 		}
@@ -123,8 +194,8 @@ func TestProgramHoisting(t *testing.T) {
 }
 
 // TestProgramEvalSeries replays programs over a synthetic segment and
-// compares against a reference loop built on the Compile closure with the
-// same clamp and divergence rules.
+// compares against a reference loop built on Eval with the same clamp and
+// divergence rules.
 func TestProgramEvalSeries(t *testing.T) {
 	const mss = 1448.0
 	lo, hi := mss, float64(1<<20)*mss
@@ -152,15 +223,14 @@ func TestProgramEvalSeries(t *testing.T) {
 	exprs = append(exprs, "cwnd - 2*mss", "cwnd/0", "cwnd + rtt-gradient*ack-rate")
 	for _, src := range exprs {
 		n := MustParse(src)
-		fn := Compile(n)
 		wantOut := make([]float64, len(envs))
 		wantRows, wantOK := len(envs), true
 		cwnd := 20 * mss
 		for i := range envs {
 			e := *envs[i]
 			e.Cwnd = cwnd
-			v, ok := fn(&e)
-			if !ok {
+			v, err := n.Eval(&e)
+			if err != nil {
 				wantRows, wantOK = i, false
 				break
 			}
@@ -178,7 +248,7 @@ func TestProgramEvalSeries(t *testing.T) {
 		}
 		for i := 0; i < wantRows; i++ {
 			if math.Float64bits(gotOut[i]) != math.Float64bits(wantOut[i]) {
-				t.Errorf("%q row %d: VM %v != closure %v", src, i, gotOut[i], wantOut[i])
+				t.Errorf("%q row %d: VM %v != Eval %v", src, i, gotOut[i], wantOut[i])
 				break
 			}
 		}
@@ -285,10 +355,10 @@ func genNode(f *fz, depth int) *Node {
 	}
 }
 
-// FuzzProgramVsEval is the PR's exactness oracle: for arbitrary
+// FuzzProgramVsEval is the VM's exactness oracle: for arbitrary
 // expressions and environments, the register VM must bit-match Node.Eval
-// and the Compile closure — value, ok flag, and NaN propagation — both
-// directly and through the sketch-patching path.
+// — value, ok flag, and NaN propagation — both directly and through the
+// sketch-patching path.
 func FuzzProgramVsEval(f *testing.F) {
 	f.Add([]byte("reno"))
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})

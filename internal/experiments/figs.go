@@ -51,10 +51,10 @@ func Fig4(s Scale) (*Fig4Result, error) {
 	m := dist.DTW{}
 	res := &Fig4Result{Synth: Fig4SynthesizedBBR, Fine: fine.Source}
 	bestSynthGap, bestFineGap := math.Inf(-1), math.Inf(-1)
-	scorer := replay.NewScorer(ds.Segments, m)
 	for i := range ds.Segments {
-		sd, _ := scorer.SegmentScore(synthH, i, math.Inf(1))
-		fd, _ := scorer.SegmentScore(fineH, i, math.Inf(1))
+		scorer := replay.NewScorer(ds.Segments[i:i+1], m)
+		sd, _ := scorer.Score(synthH, math.Inf(1))
+		fd, _ := scorer.Score(fineH, math.Inf(1))
 		if math.IsInf(sd, 1) || math.IsInf(fd, 1) {
 			continue
 		}

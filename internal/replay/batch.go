@@ -50,25 +50,27 @@ func newBatchScratch() *batchScratch {
 	}
 }
 
-// ScoreBatch scores K = len(valsK) completions of the sketch in one
-// lane-batched pass, without provenance. See ScoreBatchDetail.
-func (cs *CompiledSketch) ScoreBatch(valsK [][]float64, cutoffs []float64, ds []float64, exacts []bool) {
-	cs.ScoreBatchDetail(valsK, cutoffs, ds, exacts, nil)
-}
-
-// ScoreBatchDetail scores K = len(valsK) completions of the sketch in one
-// lane-batched pass: every segment is replayed K lanes wide on the VM and
+// ScoreBatchDetail scores K = len(valsK) completions of the sketch (each
+// a constant vector in Bind order; nil for a bound expression) in one
+// lane-batched pass, and is the only way a handler is scored — Scorer.Score
+// is a one-lane call. Every segment is replayed K lanes wide on the VM and
 // the synthesized series are measured against the prepared segment by the
-// multi-series distance kernel, under per-lane cutoffs. Lane l's results
-// (ds[l], exacts[l], and outs[l] when outs is non-nil — including its
-// ledger offer) are bit-identical to a scalar
-// ScoreDetail(valsK[l], cutoffs[l], &outs[l]) call: the same per-segment
-// sub-cutoffs, the same divergence and cross-segment-abandon rules, the
-// same stage attribution. A lane that settles (pruned, diverged, or
-// cross-segment abandoned) leaves the live set and stops paying for
-// replay and DP work on later segments. cutoffs, ds, and exacts must have
-// at least K entries; outs may be nil (no provenance, no ledger traffic)
-// or have at least K entries.
+// multi-series distance kernel, under per-lane cutoffs. Segments
+// accumulate into each lane's running total; the per-segment kernels and
+// the cross-segment sum abandon once the total is provably >= the lane's
+// cutoff. exacts[l] reports whether ds[l] is the exact full sum (true) or
+// a lower bound on it (false). When outs is non-nil, outs[l] receives the
+// lane's provenance and the lane is offered to the scorer's ledger.
+//
+// Lanes do not interact: lane l's results are bit-identical to a one-lane
+// call with valsK[l] and cutoffs[l] (TestScoreBatchDetailMatchesScalar).
+// A lane that settles (pruned, diverged, or cross-segment abandoned) leaves
+// the live set and stops paying for replay and DP work on later segments.
+// cutoffs, ds, and exacts must have at least K entries; outs may be nil or
+// have at least K entries. With one live lane the scalar kernels run
+// (Program.EvalSeries, dist.PreparedDistanceDetailGrid): the lane-major
+// loops cost more than they amortize at width 1, and the two are pinned
+// bit-identical.
 func (cs *CompiledSketch) ScoreBatchDetail(valsK [][]float64, cutoffs []float64, ds []float64, exacts []bool, outs []CandidateOutcome) {
 	k := len(valsK)
 	if k == 0 {
@@ -77,8 +79,8 @@ func (cs *CompiledSketch) ScoreBatchDetail(valsK [][]float64, cutoffs []float64,
 	cBatches.Load().Inc()
 	cLanes.Load().Add(int64(k))
 	s := cs.s
-	sc := s.bpool.Get().(*batchScratch)
-	defer s.bpool.Put(sc)
+	sc := s.pool.Get().(*batchScratch)
+	defer s.pool.Put(sc)
 
 	totals := grow(&sc.totals, k)
 	segCuts := grow(&sc.segCuts, k)
@@ -92,8 +94,8 @@ func (cs *CompiledSketch) ScoreBatchDetail(valsK [][]float64, cutoffs []float64,
 	}
 	last := len(s.segs) - 1
 
-	// applySeg folds one segment outcome into lane l — the exact epilogue
-	// of ScoreDetail's segment loop. It reports whether the lane settled.
+	// applySeg folds one segment outcome into lane l. It reports whether
+	// the lane settled.
 	applySeg := func(l int, d float64, o dist.Outcome, diverged bool, i int) bool {
 		if outs != nil {
 			out := &outs[l]
@@ -121,6 +123,8 @@ func (cs *CompiledSketch) ScoreBatchDetail(valsK [][]float64, cutoffs []float64,
 			return true
 		}
 		if totals[l] >= cutoffs[l] && i < last {
+			// Cross-segment abandon: the running sum of exact segment
+			// distances already reaches the cutoff.
 			ds[l], exacts[l] = totals[l], false
 			if outs != nil {
 				outs[l].settle(totals[l], false, dist.StageAbandon, i, 0)
@@ -135,6 +139,8 @@ func (cs *CompiledSketch) ScoreBatchDetail(valsK [][]float64, cutoffs []float64,
 		if len(live) == 0 {
 			break
 		}
+		// The sub-cutoff over-approximates cutoff-total by a ulp so a
+		// segment is never abandoned when the true total is < cutoff.
 		for _, l := range live {
 			segCuts[l] = math.Nextafter(cutoffs[l]-totals[l], math.Inf(1))
 		}
@@ -143,7 +149,7 @@ func (cs *CompiledSketch) ScoreBatchDetail(valsK [][]float64, cutoffs []float64,
 		if n == 0 {
 			// Empty segments take the scalar path per lane: for the built-in
 			// metrics it settles to +Inf immediately, and a generic metric's
-			// fallback sees the same call sequence as ScoreDetail.
+			// fallback sees the same call sequence at any lane width.
 			for _, l := range live {
 				d, o := dist.PreparedDistanceDetail(s.metric, s.prepared[i], dist.Series{}, segCuts[l], sc.dist)
 				if !applySeg(l, d, o, false, i) {
@@ -160,7 +166,7 @@ func (cs *CompiledSketch) ScoreBatchDetail(valsK [][]float64, cutoffs []float64,
 		if nl > 1 {
 			// prologue below books one hit or miss for the call; the other
 			// nl-1 lanes of this batch reuse the same hoisted columns, so
-			// the per-replay hit accounting matches the scalar path.
+			// hits and misses count replays, not calls.
 			cProHits.Load().Add(int64(nl - 1))
 		}
 		if cap(sc.values) < nl*n {
@@ -177,10 +183,8 @@ func (cs *CompiledSketch) ScoreBatchDetail(valsK [][]float64, cutoffs []float64,
 		oks := grow(&sc.oks, nl)
 		prog := cs.e.prog
 		if nl == 1 {
-			// Single live lane: the scalar VM is the K=1 fallback — the
-			// lane-major kernel's per-op lane loops cost more than they
-			// amortize at width 1, and bit-identity between the two is
-			// pinned, so the switch is invisible.
+			// Single live lane: the scalar VM is the K=1 kernel (see the
+			// function comment).
 			rows[0], oks[0] = prog.EvalSeries(s.cols[i], cs.prologue(i), valsC[0],
 				s.cwnd0[i], minCwndPkts*s.mss[i], maxCwndPkts*s.mss[i], s.mss[i], laneVals[0], sc.exec)
 		} else {

@@ -19,17 +19,33 @@ var batchLaneCases = [][]float64{
 	{1}, {0.5}, {0.1}, {0}, {-4}, {math.NaN()}, {8}, {0.25}, {1e6}, {2},
 }
 
+// scoreOne is the one-lane oracle: ScoreBatchDetail on a single
+// completion, filling out (when non-nil) as that lane's outcome.
+func scoreOne(cs *CompiledSketch, vals []float64, cutoff float64, out *CandidateOutcome) (float64, bool) {
+	var d [1]float64
+	var exact [1]bool
+	var outs []CandidateOutcome
+	if out != nil {
+		outs = []CandidateOutcome{*out}
+	}
+	cs.ScoreBatchDetail([][]float64{vals}, []float64{cutoff}, d[:], exact[:], outs)
+	if out != nil {
+		*out = outs[0]
+	}
+	return d[0], exact[0]
+}
+
 // TestScoreBatchDetailMatchesScalar is the scorer-level oracle: for every
 // metric, lane width, and cutoff regime, each lane of ScoreBatchDetail —
-// value, exactness flag, and full CandidateOutcome — must equal a scalar
-// ScoreDetail of the same completion bit for bit.
+// value, exactness flag, and full CandidateOutcome — must equal a one-lane
+// call on the same completion bit for bit.
 func TestScoreBatchDetailMatchesScalar(t *testing.T) {
 	segs := renoSegments(t)
 	sk := dsl.MustParse("cwnd + c1*reno-inc")
 	for _, m := range dist.Metrics() {
 		sc := NewScorer(segs, m)
 		cs := sc.CompileSketch(sk)
-		exact, _ := cs.Score([]float64{1}, math.Inf(1))
+		exact, _ := scoreOne(cs, []float64{1}, math.Inf(1), nil)
 		for _, k := range []int{1, 3, Lanes, len(batchLaneCases)} {
 			valsK := batchLaneCases[:k]
 			for _, cutoff := range []float64{math.Inf(1), exact * 4, exact * 1.0001, exact, exact / 2, 0} {
@@ -45,13 +61,13 @@ func TestScoreBatchDetailMatchesScalar(t *testing.T) {
 				cs.ScoreBatchDetail(valsK, cutoffs, ds, exacts, outs)
 				var want CandidateOutcome
 				for l := 0; l < k; l++ {
-					wd, we := cs.ScoreDetail(valsK[l], cutoffs[l], &want)
+					wd, we := scoreOne(cs, valsK[l], cutoffs[l], &want)
 					if math.Float64bits(ds[l]) != math.Float64bits(wd) || exacts[l] != we {
-						t.Fatalf("%s k=%d cutoff=%v lane %d: batch (%v,%v) != scalar (%v,%v)",
+						t.Fatalf("%s k=%d cutoff=%v lane %d: batch (%v,%v) != one-lane (%v,%v)",
 							m.Name(), k, cutoffs[l], l, ds[l], exacts[l], wd, we)
 					}
 					if !reflect.DeepEqual(outs[l], want) {
-						t.Fatalf("%s k=%d cutoff=%v lane %d: outcome\nbatch  %+v\nscalar %+v",
+						t.Fatalf("%s k=%d cutoff=%v lane %d: outcome\nbatch    %+v\none-lane %+v",
 							m.Name(), k, cutoffs[l], l, outs[l], want)
 					}
 				}
@@ -60,8 +76,8 @@ func TestScoreBatchDetailMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestScoreBatchNilOutcomes: the provenance-free entry point returns the
-// same values as the detailed one.
+// TestScoreBatchNilOutcomes: scoring without outcomes returns the same
+// values as scoring with them.
 func TestScoreBatchNilOutcomes(t *testing.T) {
 	segs := renoSegments(t)
 	cs := NewScorer(segs, dist.DTW{}).CompileSketch(dsl.MustParse("cwnd + c1*reno-inc"))
@@ -72,20 +88,20 @@ func TestScoreBatchNilOutcomes(t *testing.T) {
 	}
 	ds1 := make([]float64, k)
 	ex1 := make([]bool, k)
-	cs.ScoreBatch(batchLaneCases[:k], cutoffs, ds1, ex1)
+	cs.ScoreBatchDetail(batchLaneCases[:k], cutoffs, ds1, ex1, nil)
 	ds2 := make([]float64, k)
 	ex2 := make([]bool, k)
 	outs := make([]CandidateOutcome, k)
 	cs.ScoreBatchDetail(batchLaneCases[:k], cutoffs, ds2, ex2, outs)
 	for l := 0; l < k; l++ {
 		if math.Float64bits(ds1[l]) != math.Float64bits(ds2[l]) || ex1[l] != ex2[l] {
-			t.Fatalf("lane %d: ScoreBatch (%v,%v) != ScoreBatchDetail (%v,%v)", l, ds1[l], ex1[l], ds2[l], ex2[l])
+			t.Fatalf("lane %d: nil outcomes (%v,%v) != outcomes (%v,%v)", l, ds1[l], ex1[l], ds2[l], ex2[l])
 		}
 	}
 }
 
-// TestScoreBatchLedgerMatchesScalar: a ledger fed by batched scoring must
-// dump byte-identical JSONL to one fed by scalar scoring of the same
+// TestScoreBatchLedgerMatchesScalar: a ledger fed by one batched call must
+// dump byte-identical JSONL to one fed by one-lane calls on the same
 // candidates — the sample is a pure function of the candidate set.
 func TestScoreBatchLedgerMatchesScalar(t *testing.T) {
 	segs := renoSegments(t)
@@ -110,7 +126,7 @@ func TestScoreBatchLedgerMatchesScalar(t *testing.T) {
 		} else {
 			var co CandidateOutcome
 			for l := 0; l < k; l++ {
-				cs.ScoreDetail(laneCases[l], cutoffs[l], &co)
+				scoreOne(cs, laneCases[l], cutoffs[l], &co)
 			}
 		}
 		var buf bytes.Buffer

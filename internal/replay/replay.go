@@ -118,7 +118,9 @@ func segmentMinRTT(seg *trace.Segment) float64 {
 
 // Synthesize replays the handler over the segment and returns the
 // synthesized CWND series in MSS units on the segment's time grid. The
-// handler must be fully bound (no holes).
+// handler must be fully bound (no holes). It evaluates with dsl.Eval, the
+// reference semantics: the Scorer's register-VM replay is pinned to it bit
+// for bit (TestScorerMatchesClosurePath).
 func Synthesize(h *dsl.Node, seg *trace.Segment) (dist.Series, error) {
 	return SynthesizeEnvs(h, seg, Envs(seg))
 }
@@ -135,19 +137,17 @@ func SynthesizeEnvs(h *dsl.Node, seg *trace.Segment, envs []dsl.Env) (dist.Serie
 		Values: make([]float64, len(envs)),
 	}
 	// The handler starts from the first observed window, like the paper's
-	// simulation which continues from the trace's state. The expression is
-	// compiled once: it will be evaluated per ACK sample.
+	// simulation which continues from the trace's state.
 	cwnd := seg.Samples[0].Cwnd
 	if cwnd < seg.MSS {
 		cwnd = seg.MSS
 	}
 	mss := seg.MSS
-	fn := dsl.Compile(h)
 	for i := range envs {
 		env := envs[i]
 		env.Cwnd = cwnd
-		v, ok := fn(&env)
-		if !ok {
+		v, err := h.Eval(&env)
+		if err != nil {
 			cDiverged.Load().Inc()
 			return dist.Series{}, ErrDiverged
 		}

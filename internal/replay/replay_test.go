@@ -92,7 +92,7 @@ func TestDivergingHandler(t *testing.T) {
 		t.Error("divide-by-zero handler did not diverge")
 	}
 	sc := NewScorer(segs, dist.DTW{})
-	if d, _ := sc.SegmentScore(h, 0, math.Inf(1)); !math.IsInf(d, 1) {
+	if d, _ := NewScorer(segs[:1], dist.DTW{}).Score(h, math.Inf(1)); !math.IsInf(d, 1) {
 		t.Errorf("diverging handler distance = %v, want +Inf", d)
 	}
 	if d, _ := sc.Score(h, math.Inf(1)); !math.IsInf(d, 1) {

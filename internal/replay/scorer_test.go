@@ -20,10 +20,10 @@ var scorerHandlers = []string{
 	"cwnd",
 }
 
-// closureTotal is the pre-VM reference path: replay via the Compile
-// closure (SynthesizeEnvs) and measure with the metric's plain Distance.
-// The register-VM Scorer must reproduce it bit for bit.
-func closureTotal(h *dsl.Node, segs []*trace.Segment, m dist.Metric) float64 {
+// evalTotal is the reference path: replay with dsl.Eval (SynthesizeEnvs)
+// and measure with the metric's plain Distance. The register-VM Scorer
+// must reproduce it bit for bit.
+func evalTotal(h *dsl.Node, segs []*trace.Segment, m dist.Metric) float64 {
 	var total float64
 	for _, seg := range segs {
 		synth, err := SynthesizeEnvs(h, seg, Envs(seg))
@@ -39,8 +39,9 @@ func closureTotal(h *dsl.Node, segs []*trace.Segment, m dist.Metric) float64 {
 }
 
 // TestScorerMatchesClosurePath: with no cutoff, the VM-backed Score must
-// reproduce the closure replay path bit for bit for every metric on real
-// traces — the end-to-end form of the FuzzProgramVsEval exactness promise.
+// reproduce the Eval replay path (Synthesize) bit for bit for every metric
+// on real traces — the end-to-end form of the FuzzProgramVsEval exactness
+// promise.
 func TestScorerMatchesClosurePath(t *testing.T) {
 	segs := renoSegments(t)
 	for _, m := range dist.Metrics() {
@@ -51,34 +52,34 @@ func TestScorerMatchesClosurePath(t *testing.T) {
 			if !exact {
 				t.Fatalf("%s %q: Score(+Inf) not exact", m.Name(), src)
 			}
-			if want := closureTotal(h, segs, m); math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("%s %q: Score %v != closure path %v", m.Name(), src, got, want)
+			if want := evalTotal(h, segs, m); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s %q: Score %v != Eval path %v", m.Name(), src, got, want)
 			}
 		}
 	}
 }
 
-// TestSegmentScoreMatchesClosurePath checks the per-segment entry point
-// against the closure replay of that segment alone.
+// TestSegmentScoreMatchesClosurePath checks per-segment scores — a
+// one-segment Scorer, as Figure 4's breakdown uses — against the Eval
+// replay of that segment alone.
 func TestSegmentScoreMatchesClosurePath(t *testing.T) {
 	segs := renoSegments(t)
 	m := dist.DTW{}
-	sc := NewScorer(segs, m)
 	h := dsl.MustParse("cwnd + reno-inc")
 	for i := range segs {
-		got, exact := sc.SegmentScore(h, i, math.Inf(1))
+		got, exact := NewScorer(segs[i:i+1], m).Score(h, math.Inf(1))
 		if !exact {
 			t.Fatalf("segment %d: not exact at +Inf", i)
 		}
-		if want := closureTotal(h, segs[i:i+1], m); got != want {
-			t.Errorf("segment %d: SegmentScore %v != closure %v", i, got, want)
+		if want := evalTotal(h, segs[i:i+1], m); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("segment %d: score %v != Eval path %v", i, got, want)
 		}
 	}
 }
 
-// TestScorerCompilesOncePerSketch pins the satellite fix: repeated Score /
-// SegmentScore calls with the same canonical expression must hit the
-// scorer's program cache instead of recompiling per call.
+// TestScorerCompilesOncePerSketch: repeated Score and CompileSketch calls
+// with the same canonical expression must hit the scorer's program cache
+// instead of recompiling per call.
 func TestScorerCompilesOncePerSketch(t *testing.T) {
 	segs := renoSegments(t)
 	reg := obs.New()
@@ -88,17 +89,14 @@ func TestScorerCompilesOncePerSketch(t *testing.T) {
 	h := dsl.MustParse("cwnd + 0.7*reno-inc")
 	for i := 0; i < 5; i++ {
 		sc.Score(h, math.Inf(1))
-		for j := range segs {
-			sc.SegmentScore(h, j, math.Inf(1))
-		}
+		sc.CompileSketch(dsl.MustParse("cwnd + 0.7*reno-inc"))
 	}
 	if got := reg.Report().Counters["dsl.progs_compiled"]; got != 1 {
 		t.Errorf("dsl.progs_compiled = %d across repeated scoring, want 1", got)
 	}
 }
 
-// TestPrologueCacheAcrossCompletions is the tentpole's correctness test:
-// scoring many completions of one sketch through CompileSketch — sharing
+// TestPrologueCacheAcrossCompletions: scoring many completions of one sketch through CompileSketch — sharing
 // one program and its cached per-segment prologue columns — must
 // bit-match binding each completion and scoring it on a fresh Scorer, and
 // the prologue cache must actually get hits.
@@ -119,7 +117,7 @@ func TestPrologueCacheAcrossCompletions(t *testing.T) {
 		cs := sc.CompileSketch(sk)
 		for _, vals := range valSets {
 			vals = vals[:sk.Holes()]
-			got, exact := cs.Score(vals, math.Inf(1))
+			got, exact := scoreOne(cs, vals, math.Inf(1), nil)
 			if !exact {
 				t.Fatalf("%q %v: not exact at +Inf", src, vals)
 			}
@@ -130,11 +128,6 @@ func TestPrologueCacheAcrossCompletions(t *testing.T) {
 			want, _ := NewScorer(segs, dist.DTW{}).Score(bound, math.Inf(1))
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Errorf("%q %v: shared-prologue score %v != fresh-scorer score %v", src, vals, got, want)
-			}
-			gotSeg, _ := cs.SegmentScore(vals, 0, math.Inf(1))
-			wantSeg, _ := NewScorer(segs[:1], dist.DTW{}).Score(bound, math.Inf(1))
-			if math.Float64bits(gotSeg) != math.Float64bits(wantSeg) {
-				t.Errorf("%q %v: segment 0 %v != fresh %v", src, vals, gotSeg, wantSeg)
 			}
 		}
 	}
@@ -228,7 +221,7 @@ func TestScoreDetailOutcome(t *testing.T) {
 	var co CandidateOutcome
 	h := dsl.MustParse("cwnd + reno-inc")
 	cs := sc.CompileSketch(h)
-	d, exact := cs.ScoreDetail(nil, math.Inf(1), &co)
+	d, exact := scoreOne(cs, nil, math.Inf(1), &co)
 	if !exact || !co.Exact || co.Diverged {
 		t.Fatalf("uncut score: exact=%v co=%+v", exact, co)
 	}
@@ -251,7 +244,7 @@ func TestScoreDetailOutcome(t *testing.T) {
 	// the reset leaves no stale segments behind.
 	far := dsl.MustParse("cwnd + cwnd")
 	csFar := sc.CompileSketch(far)
-	d2, exact2 := csFar.ScoreDetail(nil, d*1e-6, &co)
+	d2, exact2 := scoreOne(csFar, nil, d*1e-6, &co)
 	if exact2 {
 		t.Fatalf("tight cutoff still exact: %v", d2)
 	}
@@ -264,7 +257,7 @@ func TestScoreDetailOutcome(t *testing.T) {
 
 	div := dsl.MustParse("cwnd/(acked - acked)")
 	csDiv := sc.CompileSketch(div)
-	if _, _ = csDiv.ScoreDetail(nil, math.Inf(1), &co); !co.Diverged {
+	if _, _ = scoreOne(csDiv, nil, math.Inf(1), &co); !co.Diverged {
 		t.Errorf("diverging handler not flagged: %+v", co)
 	}
 	if !math.IsInf(co.Distance, 1) {
@@ -272,8 +265,8 @@ func TestScoreDetailOutcome(t *testing.T) {
 	}
 }
 
-// TestScoreDetailNilOutcome: the nil-outcome path is the plain Score and
-// stays bit-identical to the detailed one.
+// TestScoreDetailNilOutcome: a one-lane call without an outcome stays
+// bit-identical to one with an outcome, across cutoff regimes.
 func TestScoreDetailNilOutcome(t *testing.T) {
 	segs := renoSegments(t)
 	sc := NewScorer(segs, dist.DTW{})
@@ -281,8 +274,8 @@ func TestScoreDetailNilOutcome(t *testing.T) {
 	cs := sc.CompileSketch(h)
 	var co CandidateOutcome
 	for _, cutoff := range []float64{math.Inf(1), 100, 1} {
-		d1, e1 := cs.ScoreDetail(nil, cutoff, nil)
-		d2, e2 := cs.ScoreDetail(nil, cutoff, &co)
+		d1, e1 := scoreOne(cs, nil, cutoff, nil)
+		d2, e2 := scoreOne(cs, nil, cutoff, &co)
 		if math.Float64bits(d1) != math.Float64bits(d2) || e1 != e2 {
 			t.Errorf("cutoff %v: nil-outcome (%v,%v) != outcome (%v,%v)", cutoff, d1, e1, d2, e2)
 		}

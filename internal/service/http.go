@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 
@@ -14,10 +15,24 @@ import (
 // spec body; a non-empty spec.Tenant wins.
 const TenantHeader = "X-Abagnale-Tenant"
 
+// maxJobSpecBytes bounds a POST /api/v1/jobs body. An uploaded pcap rides
+// base64-encoded inside the JobSpec; a 30 s trace is about 17 MB encoded,
+// so 64 MiB leaves room without letting one request exhaust memory.
+const maxJobSpecBytes = 64 << 20
+
+// decodeJobSpec reads one JobSpec, rejecting unknown fields.
+func decodeJobSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	return spec, err
+}
+
 // Handler serves the versioned job API:
 //
 //	GET  /api/v1/            API index (versions, endpoints)
-//	POST /api/v1/jobs        submit a JobSpec → 202 JobStatus | 400 | 429
+//	POST /api/v1/jobs        submit a JobSpec → 202 JobStatus | 400 | 413 | 429
 //	GET  /api/v1/jobs        list jobs (JobStatus array, newest first)
 //	GET  /api/v1/jobs/{id}   one job's JobStatus | 404
 //	GET  /api/v1/jobs/{id}/result
@@ -69,10 +84,14 @@ func (s *Service) handleJobs(w http.ResponseWriter, req *http.Request) {
 	case http.MethodGet:
 		writeJSON(w, http.StatusOK, s.Jobs())
 	case http.MethodPost:
-		var spec JobSpec
-		dec := json.NewDecoder(req.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		spec, err := decodeJobSpec(http.MaxBytesReader(w, req.Body, maxJobSpecBytes))
+		if err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				httpError(w, http.StatusRequestEntityTooLarge,
+					fmt.Sprintf("JobSpec body exceeds %d bytes", int64(maxJobSpecBytes)))
+				return
+			}
 			httpError(w, http.StatusBadRequest, "bad JobSpec: "+err.Error())
 			return
 		}

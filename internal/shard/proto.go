@@ -92,7 +92,6 @@ type WireOptions struct {
 	RandomSegments  bool
 	NoBucketPruning bool
 	ExactScoring    bool
-	ScalarScoring   bool
 	GreedyPruning   bool
 	Seed            int64
 	// Ledger asks workers to sample candidate provenance into a ledger
@@ -248,34 +247,51 @@ func newWire(c net.Conn) *wire {
 }
 
 func (w *wire) write(fr *frame) error {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
-	if err := gob.NewEncoder(&buf).Encode(fr); err != nil {
-		return fmt.Errorf("shard: encoding frame: %w", err)
+	b, err := encodeFrame(fr)
+	if err != nil {
+		return err
 	}
-	b := buf.Bytes()
-	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
 	w.wmu.Lock()
 	defer w.wmu.Unlock()
-	_, err := w.c.Write(b)
+	_, err = w.c.Write(b)
 	return err
 }
 
-func (w *wire) read() (*frame, error) {
+func (w *wire) read() (*frame, error) { return readFrame(w.r) }
+
+// encodeFrame renders one frame: the length prefix, then its gob stream.
+func encodeFrame(fr *frame) ([]byte, error) {
+	var buf bytes.Buffer
+	buf.Write([]byte{0, 0, 0, 0}) // length placeholder
+	if err := gob.NewEncoder(&buf).Encode(fr); err != nil {
+		return nil, fmt.Errorf("shard: encoding frame: %w", err)
+	}
+	b := buf.Bytes()
+	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
+	return b, nil
+}
+
+// readFrame reads one frame. The body buffer grows with the bytes that
+// actually arrive, so a peer's length prefix alone cannot make the reader
+// allocate up to maxFrame.
+func readFrame(r io.Reader) (*frame, error) {
 	var hdr [4]byte
-	if _, err := io.ReadFull(w.r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrame {
 		return nil, fmt.Errorf("shard: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(w.r, body); err != nil {
+	var body bytes.Buffer
+	if _, err := io.CopyN(&body, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
 	var fr frame
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&fr); err != nil {
+	if err := gob.NewDecoder(&body).Decode(&fr); err != nil {
 		return nil, fmt.Errorf("shard: decoding frame: %w", err)
 	}
 	return &fr, nil

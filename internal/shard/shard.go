@@ -91,7 +91,6 @@ func wireOptions(o core.Options) WireOptions {
 		RandomSegments:  o.RandomSegments,
 		NoBucketPruning: o.NoBucketPruning,
 		ExactScoring:    o.ExactScoring,
-		ScalarScoring:   o.ScalarScoring,
 		GreedyPruning:   o.GreedyPruning,
 		Seed:            o.Seed,
 	}

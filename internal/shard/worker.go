@@ -363,7 +363,6 @@ func newWorkerJob(jm *jobMsg, registry *corpus.Registry, obsv *obs.Registry, pro
 			RandomSegments:  wo.RandomSegments,
 			NoBucketPruning: wo.NoBucketPruning,
 			ExactScoring:    wo.ExactScoring,
-			ScalarScoring:   wo.ScalarScoring,
 			GreedyPruning:   wo.GreedyPruning,
 			Sketches:        c,
 			Programs:        c,
