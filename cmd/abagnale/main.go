@@ -209,13 +209,12 @@ func (s shardFlags) printShardSummary(rep *shard.Report) {
 		if w.Lost {
 			state = "  [lost mid-run]"
 		}
-		fmt.Fprintf(os.Stderr, "shard: worker %d (pid %d): %d leases (%d stolen), %d handlers, %d cutoffs applied%s\n",
-			w.ID, w.PID, w.Leases, w.Stolen, w.Handlers, w.Applied, state)
+		fmt.Fprintf(os.Stderr, "shard: worker %d (pid %d): %d leases (%d stolen), %d handlers%s\n",
+			w.ID, w.PID, w.Leases, w.Stolen, w.Handlers, state)
 	}
-	fmt.Fprintf(os.Stderr, "shard: %d leases issued, %d stolen, %d reissued; %d cutoff broadcasts (%d applied)\n",
+	fmt.Fprintf(os.Stderr, "shard: %d leases issued, %d stolen, %d reissued\n",
 		rep.Counters["shard.leases_issued"], rep.Counters["shard.leases_stolen"],
-		rep.Counters["shard.leases_reissued"], rep.Counters["shard.cutoff_broadcasts"],
-		rep.Counters["shard.cutoff_applied"])
+		rep.Counters["shard.leases_reissued"])
 	if s.fleet {
 		printFleet(rep)
 	}

@@ -26,7 +26,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dist"
@@ -97,13 +96,6 @@ type Options struct {
 	// so this is a debugging/differential-testing knob, not an accuracy
 	// one.
 	ExactScoring bool
-	// GreedyPruning additionally lets scoring workers use the global
-	// best-so-far distance (an atomic shared across buckets) as their
-	// cutoff instead of only bucket-local state. This prunes deeper but
-	// the extra abandons depend on cross-bucket timing, so bucket
-	// rankings — and therefore which handler wins — may differ between
-	// runs of the same seed. Off by default to keep runs reproducible.
-	GreedyPruning bool
 	// Sketches, when set, supplies the run's sketch space — typically a
 	// corpus.SketchCorpus shared by every trace of a batch, so the space
 	// is enumerated, canonicalized and compiled once per DSL config
@@ -514,8 +506,7 @@ type runState struct {
 	best    scoredHandler
 	buckets []*bucket
 
-	cache      *scoreCache
-	atomicBest atomic.Uint64 // Float64bits of best.distance, for GreedyPruning readers
+	cache *scoreCache
 
 	src     SketchSource
 	gate    Gate
@@ -537,11 +528,6 @@ type runState struct {
 	cFunnel      [NumFunnelStages]*obs.Counter
 	hScore       *obs.Histogram
 }
-
-// loadBest and storeBest shuttle the global best distance through the
-// atomic (stored as IEEE bits; the value only ever decreases).
-func (r *runState) loadBest() float64   { return math.Float64frombits(r.atomicBest.Load()) }
-func (r *runState) storeBest(d float64) { r.atomicBest.Store(math.Float64bits(d)) }
 
 // scoredHandler is a candidate with its score at evaluation time.
 type scoredHandler struct {
@@ -584,7 +570,6 @@ func (r *runState) run() (*Result, error) {
 	r.live = r.obsv.Board().Start(name, int64(r.opts.MaxHandlers))
 	r.live.SetPhase("enumerate")
 	r.best.distance = math.Inf(1)
-	r.storeBest(math.Inf(1))
 	// Publish an (empty) funnel up front so /runs/{name}/funnel resolves
 	// as soon as the run is visible, not only after the first iteration.
 	r.live.SetFunnel(r.funnelReport())
@@ -887,7 +872,7 @@ func (r *runState) segmentSetID(segs []*trace.Segment) uint64 {
 //
 // Cutoff discipline: each bucket's workers prune against bucket-local
 // state only (the bucket's best score, fixed per sketch at scoreSketch
-// entry) unless GreedyPruning opts into the shared atomic best. Pruned
+// entry), so a bucket's trajectory never depends on timing. Pruned
 // (inexact) scores never update bucket or global bests — the exact flag
 // guards every comparison — which is what makes the fast path return the
 // identical result as ExactScoring for a fixed seed: a candidate is only
@@ -896,11 +881,9 @@ func (r *runState) segmentSetID(segs []*trace.Segment) uint64 {
 func (r *runState) scoreBuckets(live []*bucket, n int, scorer *replay.Scorer, setID uint64, parent *obs.Span) int {
 	var (
 		wg      sync.WaitGroup
-		mu      sync.Mutex
-		total   int
-		sketchN int
-		budget  = r.opts.MaxHandlers - r.scored
-		perBkt  = budgetShare(budget, len(live))
+		started int
+		scored  = make([]int, len(live)) // handlers per bucket, this iteration
+		perBkt  = budgetShare(r.opts.MaxHandlers-r.scored, len(live))
 	)
 	// While blocked on the scoring workers this goroutine does no CPU work,
 	// so an externally gated run gives its own slot back up front — with a
@@ -910,15 +893,16 @@ func (r *runState) scoreBuckets(live []*bucket, n int, scorer *replay.Scorer, se
 		r.gate.Release()
 		r.holding = false
 	}
-	for _, b := range live {
+	for i, b := range live {
 		// Worker admission doubles as the concurrency bound: Acquire only
 		// fails on context cancellation, in which case the remaining
 		// buckets keep their previous scores (the run is winding down).
 		if !r.gate.Acquire(r.ctx) {
 			break
 		}
+		started++
 		wg.Add(1)
-		go func(b *bucket) {
+		go func(i int, b *bucket) {
 			defer wg.Done()
 			defer r.gate.Release()
 			// One span per scoring worker: its own lane on the exported
@@ -948,6 +932,7 @@ func (r *runState) scoreBuckets(live []*bucket, n int, scorer *replay.Scorer, se
 					b.best = scoredHandler{handler: h, sketch: sk, distance: d}
 				}
 			}
+			scored[i] = handlers
 			b.handlers += handlers
 			b.pruned += fl.Pruned()
 			b.funnel.Merge(fl)
@@ -955,36 +940,45 @@ func (r *runState) scoreBuckets(live []*bucket, n int, scorer *replay.Scorer, se
 			r.cBusyNS.Add(time.Since(busy).Nanoseconds())
 			wsp.SetAttr("ops", b.ops.String()).SetAttr("handlers", handlers)
 			wsp.End()
-			mu.Lock()
-			total += handlers
-			sketchN += b.taken
-			if b.best.handler != nil && b.best.distance < r.best.distance {
-				r.best = b.best
-				r.storeBest(b.best.distance)
-				r.obsv.Metric("core.best_distance", b.best.distance)
-				if r.obsv != nil {
-					// The timeline's instant event for an improvement,
-					// annotated with the bucket that produced it.
-					r.live.SetBest(b.best.distance, b.best.handler.String())
-					r.obsv.Record("core.best_improved", BestImprovedReport{
-						Bucket:   b.ops.String(),
-						Distance: ReportFloat(b.best.distance),
-						Handler:  b.best.handler.String(),
-					})
-				}
-			}
-			mu.Unlock()
-		}(b)
+		}(i, b)
 	}
 	wg.Wait()
 	if r.opts.Gate != nil && !r.holding {
 		r.holding = r.gate.Acquire(r.ctx)
+	}
+	total, sketchN := 0, 0
+	for i, b := range live[:started] {
+		total += scored[i]
+		sketchN += b.taken
+		r.foldBest(b)
 	}
 	r.scored += total
 	r.stats.SketchesScored += sketchN
 	r.cHandlers.Add(int64(total))
 	r.cSketches.Add(int64(sketchN))
 	return total
+}
+
+// foldBest makes bucket b's best the run's best when it is strictly
+// better. Callers fold an iteration's buckets in live order after all of
+// them are scored, so an exact tie between two buckets goes to the one
+// ranked first, whatever order their workers finished in.
+func (r *runState) foldBest(b *bucket) {
+	if b.best.handler == nil || b.best.distance >= r.best.distance {
+		return
+	}
+	r.best = b.best
+	r.obsv.Metric("core.best_distance", b.best.distance)
+	if r.obsv != nil {
+		// The timeline's instant event for an improvement, annotated with
+		// the bucket that produced it.
+		r.live.SetBest(b.best.distance, b.best.handler.String())
+		r.obsv.Record("core.best_improved", BestImprovedReport{
+			Bucket:   b.ops.String(),
+			Distance: ReportFloat(b.best.distance),
+			Handler:  b.best.handler.String(),
+		})
+	}
 }
 
 // budgetShare splits the remaining handler budget across buckets. Ceiling
@@ -999,16 +993,10 @@ func budgetShare(budget, buckets int) int {
 }
 
 // cutoff adjusts a bucket-local pruning threshold for the run's mode:
-// ExactScoring disables pruning outright, GreedyPruning tightens it with
-// the cross-bucket atomic best.
+// ExactScoring disables pruning outright.
 func (r *runState) cutoff(c float64) float64 {
 	if r.opts.ExactScoring {
 		return math.Inf(1)
-	}
-	if r.opts.GreedyPruning {
-		if g := r.loadBest(); g < c {
-			c = g
-		}
 	}
 	return c
 }

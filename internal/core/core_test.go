@@ -428,3 +428,89 @@ func TestBudgetShare(t *testing.T) {
 		t.Errorf("budgetShare(-3,5) = %d, want 0", got)
 	}
 }
+
+// orderedSource serves two buckets of a sketch source. When gated, the
+// first bucket's Take waits until the second bucket's scoring worker has
+// ended its span (or the second bucket was pruned), so in every iteration
+// the later-ranked bucket finishes first.
+type orderedSource struct {
+	SketchSource
+	keys  []dsl.OpSet
+	gated bool
+	done  chan struct{}
+	gone  chan struct{}
+	once  sync.Once
+}
+
+func (s *orderedSource) Buckets() []dsl.OpSet { return s.keys }
+
+func (s *orderedSource) Take(ops dsl.OpSet, n, capN, scan int) ([]*dsl.Node, bool) {
+	if s.gated && ops == s.keys[0] {
+		select {
+		case <-s.done:
+		case <-s.gone:
+		case <-time.After(10 * time.Second):
+		}
+	}
+	return s.SketchSource.Take(ops, n, capN, scan)
+}
+
+func (s *orderedSource) Release(ops dsl.OpSet) {
+	if ops == s.keys[1] {
+		s.once.Do(func() { close(s.gone) })
+	}
+	s.SketchSource.Release(ops)
+}
+
+func (s *orderedSource) Emit(ev obs.Event) {
+	if s.gated && ev.Kind == obs.KindSpanEnd && ev.Name == "core.score_bucket" && ev.Attrs["ops"] == s.keys[1].String() {
+		select {
+		case s.done <- struct{}{}:
+		default:
+		}
+	}
+}
+
+func (s *orderedSource) Close() error { return nil }
+
+// TestParallelTieGoesToRank: reno's {+} and {+,*} buckets tie exactly
+// (cwnd + reno-inc vs cwnd + 1*reno-inc). With two workers forced to
+// finish every iteration in reverse rank order, the run must still pick
+// the winner a one-worker run picks: the global best folds in rank
+// order, not in the order workers finish.
+func TestParallelTieGoesToRank(t *testing.T) {
+	segs := segmentsFor(t, "reno")
+	run := func(workers int, gated bool) *Result {
+		es := newEnumSource(dsl.Reno(), nil)
+		defer es.Close()
+		src := &orderedSource{SketchSource: es, gated: gated, done: make(chan struct{}, 64), gone: make(chan struct{})}
+		for _, want := range []string{"{+}", "{+,*}"} {
+			for _, k := range es.Buckets() {
+				if k.String() == want {
+					src.keys = append(src.keys, k)
+				}
+			}
+		}
+		if len(src.keys) != 2 {
+			t.Fatalf("buckets %v, want {+} and {+,*}", src.keys)
+		}
+		reg := obs.New()
+		reg.Attach(src)
+		opts := quickOpts(dsl.Reno())
+		opts.Workers = workers
+		opts.Sketches = src
+		opts.Obs = reg
+		res, err := Synthesize(context.Background(), segs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	want := run(1, false)
+	got := run(2, true)
+	if got.Handler.Key() != want.Handler.Key() ||
+		math.Float64bits(got.Distance) != math.Float64bits(want.Distance) {
+		t.Errorf("reverse-order workers picked %q (%v), one worker %q (%v)",
+			got.Handler, got.Distance, want.Handler, want.Distance)
+	}
+}

@@ -21,8 +21,7 @@ import (
 // deterministic (Take prefixes, completions, and bucket-local cutoffs are
 // all pure functions of the options and seed), so the fold below yields
 // bit-identical winners and distances no matter which worker scored which
-// bucket. Only GreedyPruning — already documented as ranking-
-// nondeterministic in process — is timing-dependent across workers.
+// bucket.
 
 // IterationLease describes one refinement iteration's scoring work: which
 // buckets to sample, how hard, and over which segment subset.
@@ -38,9 +37,6 @@ type IterationLease struct {
 	SegmentIDs []int
 	// SetID fingerprints the segment subset (memo-cache and ledger tag).
 	SetID uint64
-	// Cutoff is the run's global best-so-far distance at issue time — the
-	// initial GreedyPruning floor for whoever executes the lease.
-	Cutoff float64
 	// Buckets lists the live buckets with their best-so-far distances.
 	Buckets []LeaseBucket
 }
@@ -93,9 +89,7 @@ type LeaseExecutor interface {
 // execLeased is the remote counterpart of scoreBuckets: it packages the
 // iteration as a lease, hands it to the executor, and folds the outcomes
 // into the same bucket and global state the in-process scoring workers
-// would have written — in lease order, so the fold is deterministic where
-// the in-process mutex fold is arrival-ordered (the two differ only on
-// exact cross-bucket ties).
+// would have written, in lease (live) order as scoreBuckets does.
 func (r *runState) execLeased(iterIdx, n int, live []*bucket, segs []*trace.Segment, setID uint64) int {
 	lease := IterationLease{
 		Iteration:  iterIdx,
@@ -103,7 +97,6 @@ func (r *runState) execLeased(iterIdx, n int, live []*bucket, segs []*trace.Segm
 		PerBucket:  budgetShare(r.opts.MaxHandlers-r.scored, len(live)),
 		SegmentIDs: make([]int, len(segs)),
 		SetID:      setID,
-		Cutoff:     r.loadBest(),
 		Buckets:    make([]LeaseBucket, len(live)),
 	}
 	for i, s := range segs {
@@ -135,19 +128,7 @@ func (r *runState) execLeased(iterIdx, n int, live []*bucket, segs []*trace.Segm
 			b.score = o.Score
 			b.best = scoredHandler{handler: o.Handler, sketch: o.Sketch, distance: o.Score}
 		}
-		if b.best.handler != nil && b.best.distance < r.best.distance {
-			r.best = b.best
-			r.storeBest(b.best.distance)
-			r.obsv.Metric("core.best_distance", b.best.distance)
-			if r.obsv != nil {
-				r.live.SetBest(b.best.distance, b.best.handler.String())
-				r.obsv.Record("core.best_improved", BestImprovedReport{
-					Bucket:   b.ops.String(),
-					Distance: ReportFloat(b.best.distance),
-					Handler:  b.best.handler.String(),
-				})
-			}
-		}
+		r.foldBest(b)
 	}
 	r.scored += total
 	r.stats.SketchesScored += sketchN
@@ -157,10 +138,10 @@ func (r *runState) execLeased(iterIdx, n int, live []*bucket, segs []*trace.Segm
 }
 
 // LeaseRunner is the worker side of lease-scoped scoring: per-job state (a
-// memo cache, the per-iteration scorer, the GreedyPruning atomic best)
-// that executes IterationLeases over the job's full segment list. One
-// runner serves one job; leases execute one at a time (the runner
-// parallelizes across a lease's buckets internally, gate-bounded).
+// memo cache and the per-iteration scorer) that executes IterationLeases
+// over the job's full segment list. One runner serves one job; leases
+// execute one at a time (the runner parallelizes across a lease's buckets
+// internally, gate-bounded).
 type LeaseRunner struct {
 	r *runState
 
@@ -168,11 +149,6 @@ type LeaseRunner struct {
 	scorer      *replay.Scorer
 	scorerSetID uint64
 	haveScorer  bool
-
-	// OnImprove, when set, is called (from a scoring goroutine) whenever a
-	// lease finds a new global best — the worker's hook for reporting
-	// improvements so the coordinator can rebroadcast the cutoff.
-	OnImprove func(distance float64)
 
 	es *enumSource // owned enumeration source when Options.Sketches is nil
 }
@@ -212,7 +188,6 @@ func NewLeaseRunner(segs []*trace.Segment, opts Options) (*LeaseRunner, error) {
 	}
 	r.hScore = opts.Obs.Histogram("core.score_handler_seconds")
 	r.best.distance = math.Inf(1)
-	r.storeBest(math.Inf(1))
 	r.src = opts.Sketches
 	lr := &LeaseRunner{r: r}
 	if r.src == nil {
@@ -231,31 +206,6 @@ func NewLeaseRunner(segs []*trace.Segment, opts Options) (*LeaseRunner, error) {
 func (lr *LeaseRunner) Close() {
 	if lr.es != nil {
 		lr.es.Close()
-	}
-}
-
-// Broadcast folds a remotely-discovered best distance into the runner's
-// GreedyPruning floor, returning whether it tightened the local bound. In
-// the default (non-greedy) and ExactScoring modes the floor is never read,
-// so broadcasts cannot change results there — the exactness argument for
-// cluster-wide cutoff broadcast is that it only ever tightens a valid
-// global bound, and only GreedyPruning consults it.
-func (lr *LeaseRunner) Broadcast(d float64) bool {
-	return lr.r.tightenBest(d)
-}
-
-// tightenBest CAS-lowers the atomic best (store-min). Unlike storeBest —
-// a plain store valid under the coordinator's fold lock — tighten races
-// with concurrent lease scoring and remote broadcasts.
-func (r *runState) tightenBest(d float64) bool {
-	for {
-		cur := r.atomicBest.Load()
-		if math.Float64frombits(cur) <= d {
-			return false
-		}
-		if r.atomicBest.CompareAndSwap(cur, math.Float64bits(d)) {
-			return true
-		}
 	}
 }
 
@@ -289,7 +239,6 @@ func (lr *LeaseRunner) Exec(ctx context.Context, lease IterationLease) []BucketO
 		lr.scorerSetID = lease.SetID
 		lr.haveScorer = true
 	}
-	r.tightenBest(lease.Cutoff)
 
 	outs := make([]BucketOutcome, len(lease.Buckets))
 	var wg sync.WaitGroup
@@ -337,9 +286,6 @@ func (lr *LeaseRunner) Exec(ctx context.Context, lease IterationLease) []BucketO
 			r.addFunnelCounters(&fl)
 			r.cBusyNS.Add(time.Since(busy).Nanoseconds())
 			outs[i] = out
-			if best.handler != nil && r.tightenBest(best.distance) && lr.OnImprove != nil {
-				lr.OnImprove(best.distance)
-			}
 		}(i)
 	}
 	wg.Wait()

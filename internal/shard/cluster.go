@@ -64,7 +64,6 @@ func (co *Coordinator) clusterLocked() *ClusterSnapshot {
 	snap.Counters["shard.leases_stolen"] = co.cStolen.Value()
 	snap.Counters["shard.leases_reissued"] = co.cReissued.Value()
 	snap.Counters["shard.worker_deaths"] = co.cDeaths.Value()
-	snap.Counters["shard.cutoff_broadcasts"] = co.cBroadcasts.Value()
 	for _, wc := range co.workers {
 		snap.Workers = append(snap.Workers, clusterRow(wc, true))
 	}

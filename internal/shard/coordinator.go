@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"math"
 	"net"
 	"sort"
 	"sync"
@@ -17,14 +16,12 @@ import (
 // Observability instruments (on the coordinator's obs.Registry):
 //
 //	counters  shard.leases_issued, shard.leases_stolen,
-//	          shard.leases_reissued, shard.cutoff_broadcasts,
-//	          shard.cutoff_applied, shard.worker_deaths
+//	          shard.leases_reissued, shard.worker_deaths
 //	gauges    shard.workers
 //	hists     shard.heartbeat_rtt_seconds (wire latency, from the beat
 //	          exchange); federated per-worker copies of every worker
 //	          instrument under {worker="N"} labels plus a {worker="fleet"}
-//	          aggregate — including shard.cutoff_propagation_seconds,
-//	          measured worker-side from tighten-broadcast to CAS.
+//	          aggregate.
 //	board     one "shard/worker-NN" row per connected worker, with the
 //	          current lease as its phase and handler progress at heartbeat
 //	          cadence — the /runs view of a sharded run.
@@ -48,7 +45,6 @@ type Coordinator struct {
 	mu       sync.Mutex
 	cond     *sync.Cond // signals queue growth, worker joins, and close
 	workers  map[int]*workerConn
-	jobs     map[string]*job
 	queue    []*pendingLease
 	pending  map[int64]*pendingLease // issued or queued, not yet completed
 	nextWID  int
@@ -58,14 +54,12 @@ type Coordinator struct {
 	spans    []obs.TrackSpan
 	closed   bool
 
-	gWorkers    *obs.Gauge
-	cDeaths     *obs.Counter
-	cIssued     *obs.Counter
-	cStolen     *obs.Counter
-	cReissued   *obs.Counter
-	cBroadcasts *obs.Counter
-	cApplied    *obs.Counter
-	hBeatRTT    *obs.Histogram
+	gWorkers  *obs.Gauge
+	cDeaths   *obs.Counter
+	cIssued   *obs.Counter
+	cStolen   *obs.Counter
+	cReissued *obs.Counter
+	hBeatRTT  *obs.Histogram
 }
 
 // workerConn is the coordinator's view of one connected worker.
@@ -83,7 +77,6 @@ type workerConn struct {
 	reissued int // leases taken back from this worker (death or straggle)
 	handlers int
 	counters map[string]int64
-	applied  int64
 	stats    core.SearchStats
 
 	// Telemetry-plane state (under co.mu unless noted).
@@ -102,9 +95,7 @@ type job struct {
 	msg *jobMsg
 
 	mu     sync.Mutex
-	best   float64        // best-so-far distance, the broadcast cutoff
 	ledger *replay.Ledger // merged sample (nil when the job has none)
-	ended  bool
 }
 
 // pendingLease is one lease from enqueue to first completion.
@@ -157,15 +148,12 @@ func NewCoordinator(addr string, obsv *obs.Registry, leaseDeadline time.Duration
 		ln:            ln,
 		leaseDeadline: leaseDeadline,
 		workers:       map[int]*workerConn{},
-		jobs:          map[string]*job{},
 		pending:       map[int64]*pendingLease{},
 		gWorkers:      obsv.Gauge("shard.workers"),
 		cDeaths:       obsv.Counter("shard.worker_deaths"),
 		cIssued:       obsv.Counter("shard.leases_issued"),
 		cStolen:       obsv.Counter("shard.leases_stolen"),
 		cReissued:     obsv.Counter("shard.leases_reissued"),
-		cBroadcasts:   obsv.Counter("shard.cutoff_broadcasts"),
-		cApplied:      obsv.Counter("shard.cutoff_applied"),
 		hBeatRTT:      obsv.Histogram("shard.heartbeat_rtt_seconds"),
 	}
 	co.cond = sync.NewCond(&co.mu)
@@ -237,8 +225,6 @@ func (co *Coordinator) serveConn(w *wire) {
 			}
 		case fr.Done != nil:
 			co.handleDone(wc, fr.Done)
-		case fr.Improve != nil:
-			co.handleImprove(wc, fr.Improve)
 		case fr.Beat != nil:
 			co.handleBeat(wc, fr.Beat)
 		case fr.Flight != nil:
@@ -391,10 +377,6 @@ func (co *Coordinator) handleDone(wc *workerConn, d *leaseDoneMsg) {
 		}
 		pl.requeued = false
 	}
-	wc.applied += d.CutoffApplied
-	if d.CutoffApplied > 0 {
-		co.cApplied.Add(d.CutoffApplied)
-	}
 	for k, v := range d.Counters {
 		wc.counters[k] = v
 	}
@@ -456,46 +438,6 @@ func outcomesStats(d *leaseDoneMsg) core.SearchStats {
 		})
 	}
 	return s
-}
-
-// handleImprove folds a worker-reported improvement into the job's best
-// and rebroadcasts the tightened cutoff to every other worker — the
-// cluster-wide GreedyPruning bound.
-func (co *Coordinator) handleImprove(from *workerConn, im *improveMsg) {
-	co.mu.Lock()
-	j := co.jobs[im.JobID]
-	co.mu.Unlock()
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	improved := im.Distance < j.best
-	if improved {
-		j.best = im.Distance
-	}
-	j.mu.Unlock()
-	if !improved {
-		return
-	}
-	co.broadcastCutoff(im.JobID, im.Distance, from.id)
-}
-
-// broadcastCutoff sends the job's best-so-far to every worker except the
-// one it came from (who already has it).
-func (co *Coordinator) broadcastCutoff(jobID string, d float64, exceptID int) {
-	co.mu.Lock()
-	targets := make([]*workerConn, 0, len(co.workers))
-	for _, wc := range co.workers {
-		if wc.id != exceptID && wc.sent[jobID] {
-			targets = append(targets, wc)
-		}
-	}
-	co.mu.Unlock()
-	for _, wc := range targets {
-		if wc.w.write(&frame{Cutoff: &cutoffMsg{JobID: jobID, Distance: d, SentNanos: time.Now().UnixNano()}}) == nil {
-			co.cBroadcasts.Inc()
-		}
-	}
 }
 
 // dropWorker removes a dead worker and requeues its inflight leases so
@@ -635,21 +577,13 @@ func (co *Coordinator) Workers() int {
 // NewJob registers a synthesis job with the coordinator. ledger, when
 // non-nil, receives the priority-deduplicating union of every worker's
 // sample.
-func (co *Coordinator) NewJob(id string, msg *jobMsg, ledger *replay.Ledger) *job {
-	j := &job{co: co, msg: msg, best: math.Inf(1), ledger: ledger}
-	co.mu.Lock()
-	co.jobs[id] = j
-	co.mu.Unlock()
-	return j
+func (co *Coordinator) NewJob(msg *jobMsg, ledger *replay.Ledger) *job {
+	return &job{co: co, msg: msg, ledger: ledger}
 }
 
 // EndJob broadcasts the job's teardown so workers free its state.
 func (co *Coordinator) EndJob(j *job) {
-	j.mu.Lock()
-	j.ended = true
-	j.mu.Unlock()
 	co.mu.Lock()
-	delete(co.jobs, j.msg.ID)
 	targets := make([]*workerConn, 0, len(co.workers))
 	for _, wc := range co.workers {
 		if wc.sent[j.msg.ID] {
@@ -692,14 +626,6 @@ func (co *Coordinator) enqueue(pl *pendingLease) {
 // interrupted run.
 func (j *job) ExecIteration(ctx context.Context, lease core.IterationLease) ([]core.BucketOutcome, error) {
 	co := j.co
-	j.mu.Lock()
-	if lease.Cutoff < j.best {
-		j.best = lease.Cutoff
-	} else if j.best < lease.Cutoff {
-		lease.Cutoff = j.best
-	}
-	j.mu.Unlock()
-
 	w := co.Workers()
 	if w < 1 {
 		w = 1
@@ -796,7 +722,6 @@ type WorkerReport struct {
 	Leases   int              `json:"leases"`
 	Stolen   int              `json:"stolen,omitempty"`
 	Handlers int              `json:"handlers"`
-	Applied  int64            `json:"cutoffs_applied,omitempty"`
 	Counters map[string]int64 `json:"counters,omitempty"`
 	// Federated is the worker's counter totals as accumulated from its
 	// shipped telemetry deltas (heartbeats + lease completions) — the
@@ -819,7 +744,6 @@ func workerReportRow(wc *workerConn) WorkerReport {
 		Leases:    wc.leases,
 		Stolen:    wc.stolen,
 		Handlers:  wc.handlers,
-		Applied:   wc.applied,
 		Counters:  wc.counters,
 		Federated: wc.fedTotals,
 		Lost:      wc.lost,

@@ -97,7 +97,7 @@ func TestShardedWorkerDeathConverges(t *testing.T) {
 		Segments: segs,
 		Opts:     wireOptions(opts),
 	}
-	j := co.NewJob(jm.ID, jm, nil)
+	j := co.NewJob(jm, nil)
 
 	// Kill one worker while every worker holds an inflight lease — then the
 	// victim's lease is lost with near-certainty and the coordinator must

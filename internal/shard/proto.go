@@ -2,19 +2,17 @@
 // Algorithm 1's outer loop in-process and leases per-iteration bucket
 // scoring (or, in batch mode, whole traces) to worker processes over a
 // dependency-free localhost RPC. Workers pull leases (work-stealing for
-// stragglers), the coordinator rebroadcasts best-so-far improvements so
-// every worker's GreedyPruning cutoff tightens from remote progress, and
-// per-worker telemetry merges through core.SearchStats.Merge into one
-// report. Workers warm-start from a shared corpus.Registry snapshot dir,
-// so fan-out cost is process spawn, not re-enumeration.
+// stragglers), and per-worker telemetry merges through
+// core.SearchStats.Merge into one report. Workers warm-start from a shared
+// corpus.Registry snapshot dir, so fan-out cost is process spawn, not
+// re-enumeration.
 //
 // Exactness: lease outcomes are pure functions of the lease
 // (core.LeaseRunner resets its memo cache per lease), so which worker
 // executes a lease — original assignee, thief, or a reissue after a crash
 // — cannot change the result, and the default/ExactScoring modes return
-// bit-identical winners and distances to a single-process run. Cutoff
-// broadcasts only ever tighten a valid global lower bound, and only the
-// (already scheduling-nondeterministic) GreedyPruning mode reads it.
+// bit-identical winners and distances to a single-process run: every
+// lease prunes against bucket-local cutoffs only.
 package shard
 
 import (
@@ -49,8 +47,6 @@ type frame struct {
 	Job     *jobMsg
 	Lease   *leaseMsg
 	Done    *leaseDoneMsg
-	Improve *improveMsg
-	Cutoff  *cutoffMsg
 	JobEnd  *jobEndMsg
 	Beat    *beatMsg
 	BeatAck *beatAckMsg
@@ -92,7 +88,6 @@ type WireOptions struct {
 	RandomSegments  bool
 	NoBucketPruning bool
 	ExactScoring    bool
-	GreedyPruning   bool
 	Seed            int64
 	// Ledger asks workers to sample candidate provenance into a ledger
 	// compatible with the coordinator's (equal seeds assign equal
@@ -121,9 +116,6 @@ type leaseDoneMsg struct {
 	Outcomes []core.BucketOutcome
 	// Trace is the whole-trace result.
 	Trace *traceOutcome
-	// CutoffApplied counts coordinator cutoff broadcasts that actually
-	// tightened this worker's bound since the last report (delta).
-	CutoffApplied int64
 	// Ledger is the worker's current ledger sample for this job (full
 	// export; the coordinator's priority-deduplicating Absorb makes
 	// repeated shipment idempotent).
@@ -212,30 +204,14 @@ type traceOutcome struct {
 	Err        string
 }
 
-// improveMsg is a worker's report of a new global best for a job.
-type improveMsg struct {
-	JobID    string
-	Distance float64
-}
-
-// cutoffMsg is the coordinator's cluster-wide best-so-far rebroadcast.
-type cutoffMsg struct {
-	JobID    string
-	Distance float64
-	// SentNanos stamps the broadcast on the coordinator's clock; a worker
-	// whose bound actually tightens measures propagation latency against
-	// it (clock-offset-corrected).
-	SentNanos int64
-}
-
 // jobEndMsg tells a worker to release a job's state.
 type jobEndMsg struct {
 	ID string
 }
 
 // wire frames a net.Conn: 4-byte big-endian length prefix, then one gob
-// stream per frame. Writes are serialized (cutoff broadcasts come from
-// other workers' connection goroutines); reads have a single owner.
+// stream per frame. Writes are serialized (a worker's heartbeat goroutine
+// writes beside its main loop); reads have a single owner.
 type wire struct {
 	c   net.Conn
 	r   *bufio.Reader

@@ -10,7 +10,7 @@ import (
 // TestFrameRoundTrip: readFrame decodes what encodeFrame wrote, and
 // rejects a truncated body or an over-limit length prefix.
 func TestFrameRoundTrip(t *testing.T) {
-	want := &frame{Cutoff: &cutoffMsg{JobID: "j1", Distance: 12.5, SentNanos: 7}}
+	want := &frame{Beat: &beatMsg{T1: 7, OffsetNanos: -3, HasClock: true, Lease: 12}}
 	b, err := encodeFrame(want)
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +40,7 @@ func FuzzReadFrame(f *testing.F) {
 		{Hello: &helloMsg{PID: 1, Procs: 2}},
 		{Want: &wantMsg{}},
 		{Beat: &beatMsg{T1: 3, LastRTTNanos: 4}},
-		{Cutoff: &cutoffMsg{JobID: "j", Distance: 1.5}},
+		{BeatAck: &beatAckMsg{T1: 3, T2: 5, T3: 6}},
 		{JobEnd: &jobEndMsg{ID: "j"}},
 	} {
 		b, err := encodeFrame(fr)

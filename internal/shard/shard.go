@@ -91,7 +91,6 @@ func wireOptions(o core.Options) WireOptions {
 		RandomSegments:  o.RandomSegments,
 		NoBucketPruning: o.NoBucketPruning,
 		ExactScoring:    o.ExactScoring,
-		GreedyPruning:   o.GreedyPruning,
 		Seed:            o.Seed,
 	}
 	if o.Ledger != nil {
@@ -180,7 +179,7 @@ func Synthesize(ctx context.Context, segs []*trace.Segment, o Options) (*core.Re
 		Segments: segs,
 		Opts:     wireOptions(o.Core),
 	}
-	j := cl.co.NewJob(jm.ID, jm, o.Core.Ledger)
+	j := cl.co.NewJob(jm, o.Core.Ledger)
 	copts := o.Core
 	copts.LeaseExec = j
 	copts.Obs = obsv
@@ -227,7 +226,7 @@ func Run(ctx context.Context, jobs []corpus.Job, o Options) (*corpus.BatchResult
 			Segments: jb.Segments,
 			Opts:     wireOptions(o.Core),
 		}
-		j := cl.co.NewJob(jm.ID, jm, nil)
+		j := cl.co.NewJob(jm, nil)
 		c := make(chan outcomeErr, 1)
 		go func(j *job) {
 			to, err := j.ExecTrace(ctx)

@@ -7,7 +7,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -29,10 +28,6 @@ type WorkerConfig struct {
 	// Procs bounds the worker's scoring parallelism (core Workers).
 	// Default GOMAXPROCS.
 	Procs int
-	// DialTimeout bounds how long the worker retries the initial dial —
-	// workers typically start concurrently with the coordinator's
-	// listener. Default 10s.
-	DialTimeout time.Duration
 	// Heartbeat is the telemetry cadence: instrument deltas, the NTP-style
 	// clock exchange, and a flight-ring tail ship to the coordinator this
 	// often. 0 means the 500ms default; negative disables heartbeats
@@ -44,6 +39,10 @@ type WorkerConfig struct {
 	Obs *obs.Registry
 }
 
+// dialTimeout bounds how long a worker retries the initial dial — workers
+// typically start concurrently with the coordinator's listener.
+const dialTimeout = 10 * time.Second
+
 // wjob is a worker's per-job state.
 type wjob struct {
 	id     string
@@ -51,9 +50,7 @@ type wjob struct {
 	segs   []*trace.Segment
 	opts   core.Options
 	ledger *replay.Ledger
-
-	runner  *core.LeaseRunner
-	applied atomic.Int64 // cutoff broadcasts that tightened the bound
+	runner *core.LeaseRunner
 }
 
 // RunWorker joins the coordinator at addr and executes leases until the
@@ -71,15 +68,11 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
 	if procs < 1 {
 		procs = runtime.GOMAXPROCS(0)
 	}
-	dialTimeout := cfg.DialTimeout
-	if dialTimeout <= 0 {
-		dialTimeout = 10 * time.Second
-	}
 	beat := cfg.Heartbeat
 	if beat == 0 {
 		beat = defaultHeartbeat
 	}
-	w, err := dialRetry(ctx, addr, dialTimeout)
+	w, err := dialRetry(ctx, addr)
 	if err != nil {
 		return err
 	}
@@ -99,7 +92,6 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
 	clock := &clockSync{}
 	var currentLease atomic.Int64
 	hWireRTT := obsv.Histogram("shard.wire_rtt_seconds")
-	hCutProp := obsv.Histogram("shard.cutoff_propagation_seconds")
 
 	sendBeat := func(final bool) error {
 		tm, _ := rep.flush()
@@ -165,16 +157,10 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
 		}
 	}()
 
-	var (
-		mu   sync.Mutex
-		jobs = map[string]*wjob{}
-	)
-	// The reader goroutine applies cutoff broadcasts the moment they
-	// arrive — mid-lease, from any scoring goroutine's perspective — and
-	// answers the clock exchange inline (acks must not queue behind lease
-	// execution); everything else forwards to the main loop. That immediacy
-	// is the point of the broadcast: a remote improvement tightens this
-	// worker's early-abandon cascade now, not at the next lease boundary.
+	// The main loop owns jobs. The reader goroutine answers the clock
+	// exchange inline (acks must not queue behind lease execution) and
+	// forwards everything else to the main loop.
+	jobs := map[string]*wjob{}
 	frames := make(chan *frame, 16)
 	readErr := make(chan error, 1)
 	go func() {
@@ -194,25 +180,6 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
 				}
 				hWireRTT.Observe(float64(rtt) / 1e9)
 				clock.sample(a.T1, a.T2, a.T3, t4)
-				continue
-			}
-			if fr.Cutoff != nil {
-				mu.Lock()
-				j := jobs[fr.Cutoff.JobID]
-				mu.Unlock()
-				if j != nil && j.runner != nil && j.runner.Broadcast(fr.Cutoff.Distance) {
-					j.applied.Add(1)
-					// Propagation latency is only measurable once the clock
-					// offset is estimated, and only meaningful when the
-					// broadcast actually tightened this worker's bound.
-					if _, off, ok := clock.estimate(); ok && fr.Cutoff.SentNanos > 0 {
-						d := float64(time.Now().UnixNano()+off-fr.Cutoff.SentNanos) / 1e9
-						if d < 0 {
-							d = 0
-						}
-						hCutProp.Observe(d)
-					}
-				}
 				continue
 			}
 			select {
@@ -245,31 +212,23 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
 					shipFlight("error: " + err.Error())
 					return fmt.Errorf("shard: job %s: %w", fr.Job.ID, err)
 				}
-				mu.Lock()
 				jobs[fr.Job.ID] = j
-				mu.Unlock()
 			case fr.JobEnd != nil:
-				mu.Lock()
 				if j := jobs[fr.JobEnd.ID]; j != nil && j.runner != nil {
 					j.runner.Close()
 				}
 				delete(jobs, fr.JobEnd.ID)
-				mu.Unlock()
 			case fr.Lease != nil:
 				lease = fr.Lease
 			}
 		}
-		mu.Lock()
 		j := jobs[lease.JobID]
-		mu.Unlock()
 		if j == nil {
 			return fmt.Errorf("shard: lease %d for unknown job %s", lease.ID, lease.JobID)
 		}
 		currentLease.Store(lease.ID)
 		startNanos := time.Now().UnixNano()
-		done, err := executeLease(ctx, j, lease, func(d float64) {
-			w.write(&frame{Improve: &improveMsg{JobID: lease.JobID, Distance: d}})
-		})
+		done, err := executeLease(ctx, j, lease)
 		currentLease.Store(0)
 		if err != nil {
 			shipFlight("error: " + err.Error())
@@ -286,13 +245,18 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
 	}
 }
 
-// executeLease runs one lease. onImprove fires when an iteration lease
-// finds a new global best (whole-trace leases are self-contained runs —
-// their distances are not comparable across traces, so no broadcast).
-func executeLease(ctx context.Context, j *wjob, lease *leaseMsg, onImprove func(float64)) (*leaseDoneMsg, error) {
+// executeLease runs one lease. An iteration lease whose segment IDs fall
+// outside the job's segment list is malformed and fails the lease rather
+// than crashing the worker.
+func executeLease(ctx context.Context, j *wjob, lease *leaseMsg) (*leaseDoneMsg, error) {
 	done := &leaseDoneMsg{ID: lease.ID, JobID: j.id}
 	switch {
 	case lease.Iter != nil:
+		for _, id := range lease.Iter.SegmentIDs {
+			if id < 0 || id >= len(j.segs) {
+				return nil, fmt.Errorf("shard: lease %d: segment %d out of range [0, %d)", lease.ID, id, len(j.segs))
+			}
+		}
 		if j.runner == nil {
 			r, err := core.NewLeaseRunner(j.segs, j.opts)
 			if err != nil {
@@ -300,7 +264,6 @@ func executeLease(ctx context.Context, j *wjob, lease *leaseMsg, onImprove func(
 			}
 			j.runner = r
 		}
-		j.runner.OnImprove = onImprove
 		done.Outcomes = j.runner.Exec(ctx, *lease.Iter)
 	case lease.Trace:
 		o := j.opts
@@ -321,7 +284,6 @@ func executeLease(ctx context.Context, j *wjob, lease *leaseMsg, onImprove func(
 	default:
 		return nil, fmt.Errorf("shard: lease %d has no work", lease.ID)
 	}
-	done.CutoffApplied = j.applied.Swap(0)
 	if j.ledger != nil {
 		done.Ledger = j.ledger.Export()
 	}
@@ -363,7 +325,6 @@ func newWorkerJob(jm *jobMsg, registry *corpus.Registry, obsv *obs.Registry, pro
 			RandomSegments:  wo.RandomSegments,
 			NoBucketPruning: wo.NoBucketPruning,
 			ExactScoring:    wo.ExactScoring,
-			GreedyPruning:   wo.GreedyPruning,
 			Sketches:        c,
 			Programs:        c,
 			Seed:            wo.Seed,
@@ -379,8 +340,8 @@ func newWorkerJob(jm *jobMsg, registry *corpus.Registry, obsv *obs.Registry, pro
 
 // dialRetry dials the coordinator, retrying briefly: workers are spawned
 // concurrently with (or before) the listener coming up.
-func dialRetry(ctx context.Context, addr string, timeout time.Duration) (*wire, error) {
-	deadline := time.Now().Add(timeout)
+func dialRetry(ctx context.Context, addr string) (*wire, error) {
+	deadline := time.Now().Add(dialTimeout)
 	for {
 		c, err := net.DialTimeout("tcp", addr, time.Second)
 		if err == nil {
